@@ -8,11 +8,10 @@ stream, so probe differences are attributable to the algorithm alone.
 
 from __future__ import annotations
 
-import io
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields, replace
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .dataset import SortedDataset
 from .distributions import (
     DistributionSpec,
     EXPONENTIAL,
+    InvalidSpec,
     MEMBERS,
     QuerySpec,
     UNIFORM,
@@ -33,8 +33,6 @@ from .selector import SelectorConfig
 ADAPTIVE = "adaptive"
 
 TRIAL_ALGORITHMS = (BINARY, INTERPOLATION, LINEAR, ADAPTIVE)
-
-CSV_HEADER = "algorithm,distribution,n,queries,found_rate,mean_probes,p99_probes,cache_hit_rate,wall_time_ns,seed"
 
 TABLE = "table"
 CSV = "csv"
@@ -55,12 +53,20 @@ class TrialRecord:
     distribution: str
     n: int
     queries: int
-    found_rate: float
-    mean_probes: float
-    p99_probes: float
-    cache_hit_rate: Optional[float]
+    # "places": decimals a float column is rounded to, in every report format
+    found_rate: float = field(metadata={"places": 4})
+    mean_probes: float = field(metadata={"places": 2})
+    p99_probes: float = field(metadata={"places": 2})
+    cache_hit_rate: Optional[float] = field(metadata={"places": 4})
     wall_time_ns: int
     seed: str
+
+
+# Every report format takes its columns, their order and types from TrialRecord.
+_FIELDS = tuple(f.name for f in fields(TrialRecord))
+_DECIMALS = {f.name: f.metadata["places"] for f in fields(TrialRecord) if "places" in f.metadata}
+_FIELD_TYPES = get_type_hints(TrialRecord)
+CSV_HEADER = ",".join(_FIELDS)
 
 
 def first_occurrence(values_arr: np.ndarray, target: int) -> int:
@@ -110,10 +116,7 @@ def run_trial(
         wall = time.perf_counter_ns() - t0
     else:
         override = None if algorithm == ADAPTIVE else algorithm
-        cfg = EngineConfig(selector=engine_cfg.selector,
-                           cache_capacity=engine_cfg.cache_capacity,
-                           override=override)
-        engine = SearchEngine(cfg)
+        engine = SearchEngine(replace(engine_cfg, override=override))
         reg = engine.register(ds)
         search = engine.search
         probes = []
@@ -185,27 +188,36 @@ def run_suite(cfg: SuiteConfig) -> list[TrialRecord]:
             try:
                 ds = generate(spec)
                 targets = generate_queries(ds, qs)
-            except Exception as exc:
-                raise RuntimeError(f"suite cell ({kind}, n={n}) failed: {exc}") from exc
+            except InvalidSpec as exc:
+                raise InvalidSpec(f"suite cell ({kind}, n={n}): {exc}") from exc
             for algorithm in cfg.algorithms:
                 records.append(run_trial(cfg.engine, spec, qs, algorithm,
                                          dataset=ds, targets=targets))
     return records
 
 
+def _cell(name: str, value) -> str:
+    if value is None:
+        return ""
+    if name in _DECIMALS:
+        return f"{value:.{_DECIMALS[name]}f}"
+    return str(value)
+
+
 def _row_fields(r: TrialRecord) -> list[str]:
-    return [
-        r.algorithm,
-        r.distribution,
-        str(r.n),
-        str(r.queries),
-        f"{r.found_rate:.4f}",
-        f"{r.mean_probes:.2f}",
-        f"{r.p99_probes:.2f}",
-        "" if r.cache_hit_rate is None else f"{r.cache_hit_rate:.4f}",
-        str(r.wall_time_ns),
-        r.seed,
-    ]
+    return [_cell(name, getattr(r, name)) for name in _FIELDS]
+
+
+def _parse_cell(name: str, text: str):
+    if name in _DECIMALS:
+        return None if text == "" else float(text)
+    return _FIELD_TYPES[name](text)
+
+
+def _typed_row(cells: list[str]) -> dict:
+    """Report cells as field -> value, so every format carries the same
+    rounded values."""
+    return {name: _parse_cell(name, cell) for name, cell in zip(_FIELDS, cells, strict=True)}
 
 
 def emit_report(records: list[TrialRecord], fmt: str = TABLE) -> str:
@@ -214,27 +226,12 @@ def emit_report(records: list[TrialRecord], fmt: str = TABLE) -> str:
         lines += [",".join(_row_fields(r)) for r in records]
         return "\n".join(lines) + "\n"
     if fmt == JSONL:
-        out = io.StringIO()
-        for r in records:
-            out.write(json.dumps({
-                "algorithm": r.algorithm,
-                "distribution": r.distribution,
-                "n": r.n,
-                "queries": r.queries,
-                "found_rate": round(r.found_rate, 4),
-                "mean_probes": round(r.mean_probes, 2),
-                "p99_probes": round(r.p99_probes, 2),
-                "cache_hit_rate": None if r.cache_hit_rate is None else round(r.cache_hit_rate, 4),
-                "wall_time_ns": r.wall_time_ns,
-                "seed": r.seed,
-            }) + "\n")
-        return out.getvalue()
+        return "".join(json.dumps(_typed_row(_row_fields(r))) + "\n" for r in records)
     if fmt == TABLE:
-        header = CSV_HEADER.split(",")
         rows = [_row_fields(r) for r in records]
         widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
-                  for i, h in enumerate(header)]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
+                  for i, h in enumerate(_FIELDS)]
+        lines = ["  ".join(h.ljust(w) for h, w in zip(_FIELDS, widths)).rstrip()]
         lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows]
         return "\n".join(lines) + "\n"
     raise UnknownFormat(f"unknown report format: {fmt!r}")
@@ -244,29 +241,8 @@ def parse_csv(text: str) -> list[TrialRecord]:
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("missing or malformed csv header")
-    records = []
-    for line in lines[1:]:
-        f = line.split(",")
-        records.append(TrialRecord(
-            algorithm=f[0], distribution=f[1], n=int(f[2]), queries=int(f[3]),
-            found_rate=float(f[4]), mean_probes=float(f[5]), p99_probes=float(f[6]),
-            cache_hit_rate=None if f[7] == "" else float(f[7]),
-            wall_time_ns=int(f[8]), seed=f[9],
-        ))
-    return records
+    return [TrialRecord(**_typed_row(line.split(","))) for line in lines[1:]]
 
 
 def parse_jsonl(text: str) -> list[TrialRecord]:
-    records = []
-    for line in text.splitlines():
-        if not line:
-            continue
-        d = json.loads(line)
-        records.append(TrialRecord(
-            algorithm=d["algorithm"], distribution=d["distribution"],
-            n=d["n"], queries=d["queries"], found_rate=d["found_rate"],
-            mean_probes=d["mean_probes"], p99_probes=d["p99_probes"],
-            cache_hit_rate=d["cache_hit_rate"], wall_time_ns=d["wall_time_ns"],
-            seed=d["seed"],
-        ))
-    return records
+    return [TrialRecord(**json.loads(line)) for line in text.splitlines() if line]

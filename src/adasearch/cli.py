@@ -16,9 +16,9 @@ import secrets
 import sys
 
 from . import bench as bench_mod
-from .bench import ADAPTIVE, SuiteConfig, TRIAL_ALGORITHMS, emit_report, run_suite
+from .bench import SuiteConfig, TRIAL_ALGORITHMS, emit_report, run_suite
 from .dataset import DatasetError, load_dataset
-from .distributions import DistributionSpec, InvalidSpec, KINDS, generate
+from .distributions import DistributionSpec, InvalidSpec, KINDS, QUERY_MODES, generate
 from .engine import EngineConfig, SearchEngine
 from .search import KERNELS
 from .selector import SelectorConfig
@@ -36,14 +36,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_selector_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau", type=float, default=1.0,
-                   help="uniformity threshold for choosing interpolation (default 1.0)")
-    p.add_argument("--min-interp-len", type=int, default=16,
-                   help="minimum dataset length for interpolation (default 16)")
-    p.add_argument("--gap-samples", type=int, default=4096,
-                   help="maximum gaps examined by the selector (default 4096)")
-    p.add_argument("--cache-size", type=int, default=1024,
-                   help="result cache capacity (default 1024)")
+    p.add_argument("--tau", type=float, default=SelectorConfig.tau,
+                   help="uniformity threshold for choosing interpolation (default %(default)s)")
+    p.add_argument("--min-interp-len", type=int, default=SelectorConfig.min_interp_len,
+                   help="minimum dataset length for interpolation (default %(default)s)")
+    p.add_argument("--gap-samples", type=int, default=SelectorConfig.max_gap_samples,
+                   help="maximum gaps examined by the selector (default %(default)s)")
+    p.add_argument("--cache-size", type=int, default=EngineConfig.cache_capacity,
+                   help="result cache capacity (default %(default)s)")
 
 
 def _engine_config(args, override=None) -> EngineConfig:
@@ -83,23 +83,24 @@ def build_parser() -> _Parser:
     bench.add_argument("--format", choices=(bench_mod.TABLE, bench_mod.CSV, bench_mod.JSONL),
                        default=bench_mod.TABLE)
     bench.add_argument("--out", default="-", help="report path, '-' for stdout")
-    bench.add_argument("--queries", type=int, default=1000)
-    bench.add_argument("--sizes", type=int, nargs="+", default=None)
-    bench.add_argument("--distributions", nargs="+", choices=KINDS, default=None)
-    bench.add_argument("--algorithms", nargs="+", choices=TRIAL_ALGORITHMS, default=None)
-    bench.add_argument("--query-mode", choices=("members", "mixed", "repeated"),
-                       default="members")
-    bench.add_argument("--repeat-fraction", type=float, default=0.0)
+    bench.add_argument("--queries", type=int, default=SuiteConfig.queries)
+    bench.add_argument("--sizes", type=int, nargs="+", default=SuiteConfig.sizes)
+    bench.add_argument("--distributions", nargs="+", choices=KINDS, default=SuiteConfig.distributions)
+    bench.add_argument("--algorithms", nargs="+", choices=TRIAL_ALGORITHMS,
+                       default=SuiteConfig.algorithms)
+    bench.add_argument("--query-mode", choices=QUERY_MODES, default=SuiteConfig.query_mode)
+    bench.add_argument("--repeat-fraction", type=float, default=SuiteConfig.repeat_fraction)
     _add_selector_flags(bench)
     return parser
 
 
-def _write_out(path: str, text: str) -> None:
+def _write_out(path: str, write) -> None:
+    """Call write(stream) on stdout for '-', else on the file at path."""
     if path == "-":
-        sys.stdout.write(text)
+        write(sys.stdout)
     else:
         with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+            write(f)
 
 
 def _cmd_gen(args) -> int:
@@ -113,8 +114,7 @@ def _cmd_gen(args) -> int:
     if args.seed is None:
         print(f"seed: {seed}", file=sys.stderr)
     ds = generate(DistributionSpec(args.kind, args.n, seed, params))
-    lines = "".join(f"{v}\n" for v in ds.values)
-    _write_out(args.out, lines)
+    _write_out(args.out, ds.dump)
     return 0
 
 
@@ -137,17 +137,17 @@ def _cmd_bench(args) -> int:
     if args.seed is None:
         print(f"seed: {seed}", file=sys.stderr)
     cfg = SuiteConfig(
-        distributions=tuple(args.distributions) if args.distributions else SuiteConfig.distributions,
-        sizes=tuple(args.sizes) if args.sizes else SuiteConfig.sizes,
-        algorithms=tuple(args.algorithms) if args.algorithms else SuiteConfig.algorithms,
+        distributions=tuple(args.distributions),
+        sizes=tuple(args.sizes),
+        algorithms=tuple(args.algorithms),
         queries=args.queries,
         query_mode=args.query_mode,
         repeat_fraction=args.repeat_fraction,
         seed=seed,
         engine=_engine_config(args),
     )
-    records = run_suite(cfg)
-    _write_out(args.out, emit_report(records, args.format))
+    report = emit_report(run_suite(cfg), args.format)
+    _write_out(args.out, lambda f: f.write(report))
     return 0
 
 
@@ -160,7 +160,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "search":
             return _cmd_search(args)
         return _cmd_bench(args)
-    except (DatasetError, OverflowError, InvalidSpec, FileNotFoundError) as exc:
+    # UnicodeDecodeError is a ValueError; an undecodable file is a data error
+    except (DatasetError, OverflowError, InvalidSpec, OSError, UnicodeDecodeError) as exc:
         print(f"adasearch: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

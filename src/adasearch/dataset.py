@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-import struct
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,18 +38,10 @@ class DatasetId(NamedTuple):
         return self.digest.hex()
 
 
-def fingerprint(values: Iterable[int]) -> DatasetId:
+def fingerprint(values: Sequence[int] | np.ndarray) -> DatasetId:
     """128-bit blake2b digest over the little-endian int64 encoding of values."""
-    if isinstance(values, np.ndarray):
-        encoded = values.astype("<i8").tobytes()
-    else:
-        vs = values if isinstance(values, (list, tuple)) else list(values)
-        if len(vs) <= 64:
-            encoded = struct.pack(f"<{len(vs)}q", *vs)
-        else:
-            encoded = np.asarray(vs, dtype=np.int64).astype("<i8").tobytes()
-    h = hashlib.blake2b(encoded, digest_size=16)
-    return DatasetId(h.digest())
+    encoded = np.asarray(values, dtype="<i8").tobytes()
+    return DatasetId(hashlib.blake2b(encoded, digest_size=16).digest())
 
 
 class SortedDataset:
@@ -84,57 +75,48 @@ class SortedDataset:
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "SortedDataset":
-        """Build a dataset, verifying (not assuming) nondecreasing order and
-        64-bit range."""
-        if isinstance(values, np.ndarray):
-            vt = tuple(int(v) for v in values.tolist())
+        """Build a dataset, verifying (not assuming) 64-bit range and
+        nondecreasing order; every loader ends here. A list or tuple of ints
+        becomes `values` as is, so large loads build no second set of ints."""
+        if isinstance(values, np.ndarray) and values.dtype == np.int64:
+            arr = values
+            vt = tuple(arr.tolist())
         else:
-            vt = tuple(int(v) for v in values)
-        prev = None
-        for i, v in enumerate(vt):
-            if v < INT64_MIN or v > INT64_MAX:
-                raise OverflowError(f"value at index {i} exceeds 64-bit range: {v}")
-            if prev is not None and v < prev:
-                raise NotSortedError(i)
-            prev = v
-        return cls(vt, fingerprint(vt))
+            seq = values.tolist() if isinstance(values, np.ndarray) else values
+            vt = seq if type(seq) is tuple else tuple(seq)
+            try:
+                arr = np.fromiter(vt, dtype=np.int64, count=len(vt))
+            except OverflowError:
+                i, v = next((i, v) for i, v in enumerate(vt) if not INT64_MIN <= int(v) <= INT64_MAX)
+                raise OverflowError(f"value at index {i} exceeds 64-bit range: {v}") from None
+            if not set(map(type, vt)) <= {int}:
+                # kernels rely on unbounded Python int arithmetic
+                vt = tuple(arr.tolist())
+        descents = (arr[1:] < arr[:-1]).nonzero()[0]
+        if len(descents):
+            raise NotSortedError(int(descents[0]) + 1)
+        return cls(vt, fingerprint(arr))
 
-    @classmethod
-    def from_sorted_array(cls, arr: np.ndarray) -> "SortedDataset":
-        """Fast path for an int64 array already known to need only the order check."""
-        if arr.dtype != np.int64:
-            arr = arr.astype(np.int64)
-        if len(arr) > 1:
-            diffs = np.diff(arr)
-            if np.any(diffs < 0):
-                raise NotSortedError(int(np.argmax(diffs < 0)) + 1)
-        return cls(tuple(arr.tolist()), fingerprint(arr))
+    # Kept by name for callers that hold an int64 array; validation is identical.
+    from_sorted_array = from_values
 
     def dump(self, stream: IO[str]) -> None:
         """Serialize back to the line-delimited text format."""
-        for v in self.values:
-            stream.write(f"{v}\n")
+        stream.write("".join(f"{v}\n" for v in self.values))
 
 
 def load_dataset(stream: IO[str]) -> SortedDataset:
-    """Parse the line-delimited integer format: one base-10 signed 64-bit
-    integer per line, LF separated (CR stripped), whitespace-only lines
-    ignored. Order is verified, never trusted."""
+    """Parse the line-delimited integer format: one ASCII base-10 signed
+    64-bit integer per line, LF separated (CR stripped), whitespace-only
+    lines ignored. Range and order are verified by SortedDataset.from_values."""
     values: list[int] = []
-    prev: int | None = None
     for line_no, raw in enumerate(stream, start=1):
-        text = raw.rstrip("\r\n")
-        if not text.strip():
-            continue
+        # int() also accepts digit separators and non-ASCII digits; the format does not
+        if "_" in raw or not raw.isascii():
+            raise ParseError(line_no, raw.rstrip("\r\n"))
         try:
-            v = int(text.strip(), 10)
+            values.append(int(raw, 10))  # int() skips surrounding whitespace, CR and LF too
         except ValueError:
-            raise ParseError(line_no, text) from None
-        if v < INT64_MIN or v > INT64_MAX:
-            raise OverflowError(f"line {line_no}: value exceeds 64-bit range: {text.strip()}")
-        if prev is not None and v < prev:
-            raise NotSortedError(len(values))
-        values.append(v)
-        prev = v
-    vt = tuple(values)
-    return SortedDataset(vt, fingerprint(vt))
+            if raw.strip():
+                raise ParseError(line_no, raw.rstrip("\r\n")) from None
+    return SortedDataset.from_values(values)

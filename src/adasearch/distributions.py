@@ -46,6 +46,13 @@ class DistributionSpec:
         return f"{self.kind}({inner})"
 
 
+def _to_int64(draws: np.ndarray, kind: str) -> np.ndarray:
+    """Cast float draws to int64, refusing draws the cast would wrap."""
+    if not np.all((draws >= -(2.0**63)) & (draws < 2.0**63)):
+        raise InvalidSpec(f"{kind}: draws leave the 64-bit range")
+    return draws.astype(np.int64)
+
+
 def generate(spec: DistributionSpec) -> SortedDataset:
     """Deterministic dataset from a spec. Output is sorted; duplicates allowed."""
     rng = np.random.default_rng(spec.seed)
@@ -69,13 +76,17 @@ def generate(spec: DistributionSpec) -> SortedDataset:
             raise InvalidSpec("clustered: need clusters >= 1, spread >= 0, lo <= hi")
         centers = rng.integers(lo, hi, size=clusters, endpoint=True, dtype=np.int64)
         assignment = rng.integers(0, clusters, size=n)
-        offsets = np.rint(rng.normal(0.0, spread, size=n)).astype(np.int64)
-        arr = centers[assignment] + offsets
+        offsets = _to_int64(np.rint(rng.normal(0.0, spread, size=n)), CLUSTERED)
+        base = centers[assignment]
+        arr = base + offsets
+        # int64 addition wraps silently; a sum on the wrong side of its base wrapped
+        if np.any((arr < base) != (offsets < 0)):
+            raise InvalidSpec("clustered: keys leave the 64-bit range")
     elif spec.kind == EXPONENTIAL:
         scale = float(p.get("scale", 1e6))
         if scale <= 0:
             raise InvalidSpec("exponential: scale must be > 0")
-        arr = rng.exponential(scale, size=n).astype(np.int64)
+        arr = _to_int64(rng.exponential(scale, size=n), EXPONENTIAL)
     else:  # ZIPF
         s = float(p.get("s", 1.2))
         universe = int(p.get("m", 10**6))

@@ -65,6 +65,10 @@ class TestGenerate:
         ("zipf", {"s": -1.0}),
         ("exponential", {"scale": 0}),
         ("clustered", {"clusters": 0}),
+        ("exponential", {"scale": 1e30}),
+        ("clustered", {"spread": 1e30}),
+        ("clustered", {"lo": 2**63 - 11, "hi": 2**63 - 11, "spread": 1000}),
+        ("clustered", {"lo": -(2**63), "hi": -(2**63), "spread": 1000}),
     ])
     def test_invalid_params(self, kind, params):
         with pytest.raises(InvalidSpec):

@@ -71,6 +71,36 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_directory_is_data_error(tmp_path, capsys):
+    code, _, err = run(capsys, "search", str(tmp_path), "3")
+    assert code == 2
+    assert err.startswith("adasearch: data error:") and err.count("\n") == 1
+
+
+def test_invalid_utf8_is_data_error(tmp_path, capsys):
+    ds = tmp_path / "ds.txt"
+    ds.write_bytes(b"1\n\xff\xfe\n")
+    code, _, err = run(capsys, "search", str(ds), "1")
+    assert code == 2
+    assert err.startswith("adasearch: data error:") and err.count("\n") == 1
+
+
+def test_bench_empty_cell_is_data_error(capsys):
+    code, _, err = run(capsys, "bench", "--seed", "1", "--sizes", "0",
+                       "--distributions", "uniform", "--algorithms", "binary")
+    assert code == 2
+    assert "(uniform, n=0)" in err and err.count("\n") == 1
+
+
+def test_gen_overflowing_draws_are_data_error(tmp_path, capsys):
+    out = tmp_path / "ds.txt"
+    code, _, err = run(capsys, "gen", "--kind", "exponential", "--scale", "1e30",
+                       "--n", "20", "--seed", "1", "--out", str(out))
+    assert code == 2
+    assert "data error" in err
+    assert not out.exists()
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--kind", "nope", "--n", "5"])

@@ -44,6 +44,13 @@ def test_load_out_of_range_literal():
         load_dataset(io.StringIO(str(-(2**63) - 1)))
 
 
+@pytest.mark.parametrize("literal", ["1_000", "\u0661\u0662", "\uff15\uff10"])
+def test_load_rejects_what_int_accepts_beyond_the_format(literal):
+    with pytest.raises(ParseError) as exc:
+        load_dataset(io.StringIO(f"1\n{literal}\n"))
+    assert exc.value.line_no == 2
+
+
 def test_load_tolerates_crlf_and_blank_lines():
     ds = load_dataset(io.StringIO("1\r\n\n  \n2\r\n3\n"))
     assert ds.values == (1, 2, 3)
@@ -61,9 +68,10 @@ def test_fingerprint_deterministic_and_content_sensitive():
 
 
 def test_fingerprint_input_form_irrelevant():
-    vals = list(range(200))
-    assert fingerprint(vals) == fingerprint(np.array(vals, dtype=np.int64))
-    assert fingerprint(vals) == fingerprint(tuple(vals))
+    for n in (0, 1, 64, 65, 200):
+        vals = list(range(n))
+        assert fingerprint(vals) == fingerprint(np.array(vals, dtype=np.int64))
+        assert fingerprint(vals) == fingerprint(tuple(vals))
 
 
 def test_id_stable_across_loads():
@@ -111,3 +119,40 @@ def test_rejects_every_sequence_with_a_descent(xs):
     else:
         with pytest.raises(NotSortedError):
             SortedDataset.from_values(xs)
+
+
+def test_int64_extremes_accepted_by_every_constructor():
+    extremes = [-(2**63), 2**63 - 1]
+    a = SortedDataset.from_values(extremes)
+    b = SortedDataset.from_sorted_array(np.array(extremes, dtype=np.int64))
+    assert a.values == b.values == tuple(extremes)
+    assert a.id == b.id
+
+
+INT64_EDGES = [-(2**63) - 1, -(2**63), 2**63 - 1, 2**63]
+
+
+@given(st.lists(st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from(INT64_EDGES),
+                          st.integers(-(2**70), 2**70)),
+                max_size=12),
+       st.booleans())
+def test_list_array_and_text_constructors_agree(xs, presort):
+    if presort:
+        xs.sort()
+    try:
+        arr = np.array(xs, dtype=np.int64)
+    except OverflowError:
+        arr = np.array(xs, dtype=object)
+    text = "".join(f"{v}\n" for v in xs)
+
+    def build(make):
+        try:
+            ds = make()
+        except (OverflowError, NotSortedError) as exc:
+            return type(exc), str(exc)
+        assert all(type(v) is int for v in ds.values)
+        return ds.values, ds.id
+
+    from_list = build(lambda: SortedDataset.from_values(xs))
+    assert build(lambda: SortedDataset.from_values(arr)) == from_list
+    assert build(lambda: load_dataset(io.StringIO(text))) == from_list
