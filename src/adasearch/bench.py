@@ -107,7 +107,7 @@ def run_trial(
     ds = dataset if dataset is not None else generate(spec)
     if targets is None:
         targets = generate_queries(ds, query_spec)
-    values_arr = np.asarray(ds.values, dtype=np.int64)
+    values_arr = ds.array
 
     cache_hit_rate: Optional[float] = None
     if algorithm == LINEAR:

@@ -10,6 +10,9 @@ from .search import SearchOutcome
 
 
 class CacheKey(NamedTuple):
+    """A plain (dataset, target) tuple equals and hashes like CacheKey, so
+    either form names the same LruCache entry."""
+
     dataset: DatasetId
     target: int
 

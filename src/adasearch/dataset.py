@@ -48,7 +48,7 @@ class SortedDataset:
     """A nondecreasing sequence of 64-bit signed integers with a stable
     content fingerprint. Immutable after construction."""
 
-    __slots__ = ("values", "id")
+    __slots__ = ("values", "id", "_array")
 
     values: tuple[int, ...]
     id: DatasetId
@@ -57,6 +57,17 @@ class SortedDataset:
         # internal: use from_values() / load_dataset(), which validate
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "id", dataset_id)
+        object.__setattr__(self, "_array", None)
+
+    @property
+    def array(self) -> np.ndarray:
+        """Read-only int64 view of `values` for the bulk numpy paths. Built
+        on first use and kept, so loading and querying never pay its memory."""
+        if self._array is None:
+            arr = np.fromiter(self.values, dtype=np.int64, count=len(self.values))
+            arr.flags.writeable = False
+            object.__setattr__(self, "_array", arr)
+        return self._array
 
     def __setattr__(self, name, value):
         raise AttributeError("SortedDataset is immutable")
@@ -91,7 +102,12 @@ class SortedDataset:
                 raise OverflowError(f"value at index {i} exceeds 64-bit range: {v}") from None
             if not set(map(type, vt)) <= {int}:
                 # kernels rely on unbounded Python int arithmetic
-                vt = tuple(arr.tolist())
+                ints = arr.tolist()
+                # the int64 conversion truncates 1.5 to 1; integral 2.0, bools and numpy ints pass
+                bad = next((i for i, (v, w) in enumerate(zip(vt, ints)) if v != w), None)
+                if bad is not None:
+                    raise ValueError(f"value at index {bad} is not an integer: {vt[bad]!r}")
+                vt = tuple(ints)
         descents = (arr[1:] < arr[:-1]).nonzero()[0]
         if len(descents):
             raise NotSortedError(int(descents[0]) + 1)

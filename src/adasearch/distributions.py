@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from .dataset import SortedDataset
+from .dataset import INT64_MAX, INT64_MIN, SortedDataset
 
 UNIFORM = "uniform"
 CLUSTERED = "clustered"
@@ -53,6 +53,16 @@ def _to_int64(draws: np.ndarray, kind: str) -> np.ndarray:
     return draws.astype(np.int64)
 
 
+def _key_range(p: dict[str, Any], kind: str) -> tuple[int, int]:
+    """The lo/hi key range of a uniform or clustered spec, checked to be an
+    ordered pair of int64 values (numpy would reject it with a ValueError)."""
+    lo = int(p.get("lo", 0))
+    hi = int(p.get("hi", 2**32))
+    if not INT64_MIN <= lo <= hi <= INT64_MAX:
+        raise InvalidSpec(f"{kind}: need {INT64_MIN} <= lo <= hi <= {INT64_MAX}, got lo {lo}, hi {hi}")
+    return lo, hi
+
+
 def generate(spec: DistributionSpec) -> SortedDataset:
     """Deterministic dataset from a spec. Output is sorted; duplicates allowed."""
     rng = np.random.default_rng(spec.seed)
@@ -62,18 +72,14 @@ def generate(spec: DistributionSpec) -> SortedDataset:
         return SortedDataset.from_sorted_array(np.empty(0, dtype=np.int64))
 
     if spec.kind == UNIFORM:
-        lo = int(p.get("lo", 0))
-        hi = int(p.get("hi", 2**32))
-        if lo > hi:
-            raise InvalidSpec(f"uniform: lo {lo} > hi {hi}")
+        lo, hi = _key_range(p, UNIFORM)
         arr = rng.integers(lo, hi, size=n, endpoint=True, dtype=np.int64)
     elif spec.kind == CLUSTERED:
         clusters = int(p.get("clusters", 10))
         spread = float(p.get("spread", 1000.0))
-        lo = int(p.get("lo", 0))
-        hi = int(p.get("hi", 2**32))
-        if clusters < 1 or spread < 0 or lo > hi:
-            raise InvalidSpec("clustered: need clusters >= 1, spread >= 0, lo <= hi")
+        lo, hi = _key_range(p, CLUSTERED)
+        if clusters < 1 or spread < 0:
+            raise InvalidSpec("clustered: need clusters >= 1, spread >= 0")
         centers = rng.integers(lo, hi, size=clusters, endpoint=True, dtype=np.int64)
         assignment = rng.integers(0, clusters, size=n)
         offsets = _to_int64(np.rint(rng.normal(0.0, spread, size=n)), CLUSTERED)

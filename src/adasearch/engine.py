@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .cache import CacheKey, CacheStats, LruCache
+from .cache import CacheStats, LruCache
 from .dataset import DatasetId, SortedDataset
 from .search import KERNELS, SearchOutcome
 from .selector import AlgorithmChoice, DistributionStats, SelectorConfig, choose_algorithm, compute_stats
@@ -68,15 +68,18 @@ class SearchEngine:
     def search(self, reg: RegisteredDataset, target: int) -> QueryResult:
         """Cache first; on a miss, run the registered (or overridden) kernel
         and store the outcome, including not-found outcomes."""
-        key = CacheKey(reg.dataset.id, target)
+        # A plain tuple equals and hashes like CacheKey(id, target), so it is
+        # the same cache entry; the key and QueryResult skip NamedTuple's
+        # Python-level __new__, a large share of a cache hit's cost.
+        key = (reg.dataset.id, target)
         cached = self._cache.get(key)
         if cached is not None:
-            return QueryResult(cached, True, CACHE)
+            return tuple.__new__(QueryResult, (cached, True, CACHE))
         algorithm = self.config.override or reg.choice.algorithm
         outcome = KERNELS[algorithm](reg.dataset, target)
         self.kernel_probes += outcome.trace.probes
         self._cache.put(key, outcome)
-        return QueryResult(outcome, False, algorithm)
+        return tuple.__new__(QueryResult, (outcome, False, algorithm))
 
     def report(self) -> EngineReport:
         return EngineReport(

@@ -31,6 +31,16 @@ class SearchOutcome(NamedTuple):
         return self.index is not None
 
 
+_new = tuple.__new__
+
+
+def _outcome(index: Optional[int], visited: list[int], algorithm: str) -> SearchOutcome:
+    """SearchOutcome(index, ProbeTrace(len(visited), tuple(visited), algorithm)),
+    built through tuple.__new__: the same records without the Python-level
+    __new__ that NamedTuple generates, a large share of a call on small arrays."""
+    return _new(SearchOutcome, (index, _new(ProbeTrace, (len(visited), tuple(visited), algorithm))))
+
+
 def binary_search(ds: SortedDataset, target: int) -> SearchOutcome:
     """Midpoint-halving search; at most floor(log2(n)) + 1 probes."""
     values = ds.values
@@ -41,12 +51,12 @@ def binary_search(ds: SortedDataset, target: int) -> SearchOutcome:
         v = values[mid]
         visited.append(mid)
         if v == target:
-            return SearchOutcome(mid, ProbeTrace(len(visited), tuple(visited), BINARY))
+            return _outcome(mid, visited, BINARY)
         if v < target:
             lo = mid + 1
         else:
             hi = mid - 1
-    return SearchOutcome(None, ProbeTrace(len(visited), tuple(visited), BINARY))
+    return _outcome(None, visited, BINARY)
 
 
 def interpolation_search(ds: SortedDataset, target: int) -> SearchOutcome:
@@ -66,17 +76,17 @@ def interpolation_search(ds: SortedDataset, target: int) -> SearchOutcome:
         if vl == vh:
             visited.append(lo)
             idx = lo if vl == target else None
-            return SearchOutcome(idx, ProbeTrace(len(visited), tuple(visited), INTERPOLATION))
+            return _outcome(idx, visited, INTERPOLATION)
         pos = lo + (hi - lo) * (target - vl) // (vh - vl)
         v = values[pos]
         visited.append(pos)
         if v == target:
-            return SearchOutcome(pos, ProbeTrace(len(visited), tuple(visited), INTERPOLATION))
+            return _outcome(pos, visited, INTERPOLATION)
         if v < target:
             lo = pos + 1
         else:
             hi = pos - 1
-    return SearchOutcome(None, ProbeTrace(len(visited), tuple(visited), INTERPOLATION))
+    return _outcome(None, visited, INTERPOLATION)
 
 
 def linear_search(ds: SortedDataset, target: int) -> SearchOutcome:
@@ -86,8 +96,8 @@ def linear_search(ds: SortedDataset, target: int) -> SearchOutcome:
     for i, v in enumerate(ds.values):
         visited.append(i)
         if v == target:
-            return SearchOutcome(i, ProbeTrace(len(visited), tuple(visited), LINEAR))
-    return SearchOutcome(None, ProbeTrace(len(visited), tuple(visited), LINEAR))
+            return _outcome(i, visited, LINEAR)
+    return _outcome(None, visited, LINEAR)
 
 
 KERNELS = {

@@ -46,6 +46,7 @@ def criterion(num, description):
     print(f"ACCEPTANCE C{num}: PASS - {description}")
 
 
+@pytest.mark.slow
 def test_c1_oracle_equivalence_exhaustive():
     """All kernels and the adaptive engine agree with linear search on every
     nondecreasing array of length 0..10 over values 0..12, targets -1..13."""

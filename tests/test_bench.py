@@ -69,6 +69,10 @@ class TestGenerate:
         ("clustered", {"spread": 1e30}),
         ("clustered", {"lo": 2**63 - 11, "hi": 2**63 - 11, "spread": 1000}),
         ("clustered", {"lo": -(2**63), "hi": -(2**63), "spread": 1000}),
+        ("uniform", {"hi": 2**64}),
+        ("uniform", {"lo": -(2**63) - 1}),
+        ("clustered", {"hi": 2**63}),
+        ("clustered", {"lo": -(2**64), "hi": 0}),
     ])
     def test_invalid_params(self, kind, params):
         with pytest.raises(InvalidSpec):

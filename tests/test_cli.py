@@ -94,11 +94,13 @@ def test_bench_empty_cell_is_data_error(capsys):
 
 def test_gen_overflowing_draws_are_data_error(tmp_path, capsys):
     out = tmp_path / "ds.txt"
-    code, _, err = run(capsys, "gen", "--kind", "exponential", "--scale", "1e30",
-                       "--n", "20", "--seed", "1", "--out", str(out))
-    assert code == 2
-    assert "data error" in err
-    assert not out.exists()
+    for flags in (("--kind", "exponential", "--scale", "1e30"),
+                  ("--kind", "uniform", "--hi", str(2**64)),
+                  ("--kind", "clustered", "--lo", str(-(2**63) - 1))):
+        code, _, err = run(capsys, "gen", *flags, "--n", "20", "--seed", "1", "--out", str(out))
+        assert code == 2, flags
+        assert "data error" in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_usage_error_exit_code(capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from adasearch import (
     NotSortedError,
     ParseError,
+    SearchEngine,
     SortedDataset,
     fingerprint,
     load_dataset,
@@ -98,6 +99,33 @@ def test_immutability():
 def test_from_sorted_array_matches_from_values():
     arr = np.array([3, 5, 5, 9], dtype=np.int64)
     assert SortedDataset.from_sorted_array(arr).id == SortedDataset.from_values([3, 5, 5, 9]).id
+
+
+@pytest.mark.parametrize("values,index", [([1.5, 2.7], 0), ([1, 2.5, 3], 1),
+                                          (np.array([1.0, 2.25]), 1)])
+def test_non_integral_values_rejected(values, index):
+    with pytest.raises(ValueError, match=f"index {index} is not an integer"):
+        SortedDataset.from_values(values)
+
+
+def test_integral_non_int_values_become_ints():
+    ds = SortedDataset.from_values([True, 2.0, np.int64(3), 4])
+    assert ds.values == (1, 2, 3, 4)
+    assert {type(v) for v in ds.values} == {int}
+    assert ds.id == SortedDataset.from_values([1, 2, 3, 4]).id
+
+
+def test_array_view_is_lazy_cached_and_read_only():
+    ds = load_dataset(io.StringIO(f"{-(2**63)}\n0\n0\n{2**63 - 1}\n"))
+    SearchEngine().register(ds)
+    assert ds._array is None  # loading and registering do not build it
+    arr = ds.array
+    assert arr.dtype == np.int64 and arr.tolist() == list(ds.values)
+    assert ds.array is arr
+    with pytest.raises(ValueError):
+        arr[0] = 1
+    with pytest.raises(AttributeError):
+        ds._array = None
 
 
 def test_from_sorted_array_rejects_descent():
