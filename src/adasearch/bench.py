@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional, get_type_hints
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -69,27 +70,12 @@ _FIELD_TYPES = get_type_hints(TrialRecord)
 CSV_HEADER = ",".join(_FIELDS)
 
 
-def first_occurrence(values_arr: np.ndarray, target: int) -> int:
-    """Index of the first occurrence of target, or -1. Bisection-free
-    semantics of a left-to-right scan, used for fast found-ness spot checks."""
-    i = int(np.searchsorted(values_arr, target, side="left"))
-    if i < len(values_arr) and int(values_arr[i]) == target:
-        return i
-    return -1
-
-
-def _linear_probe_counts(values_arr: np.ndarray, targets: list[int]) -> tuple[list[int], list[bool]]:
-    """Probe counts a first-occurrence scan would incur, computed in bulk.
-
-    Equivalent to running search.linear_search per target (index + 1 probes on
-    a find, n probes on a miss); verified against the kernel in the tests.
-    """
-    n = len(values_arr)
-    t = np.asarray(targets, dtype=np.int64)
-    idx = np.searchsorted(values_arr, t, side="left")
-    found = (idx < n) & (values_arr[np.minimum(idx, n - 1)] == t) if n else np.zeros(len(t), bool)
-    probes = np.where(found, idx + 1, n)
-    return probes.tolist(), found.tolist()
+def first_occurrence(values: Sequence[int], target: int) -> int:
+    """Index of the first occurrence of target in nondecreasing values, or -1:
+    the index search.linear_search returns, found by bisection. A linear scan
+    makes index + 1 probes on a find and len(values) on a miss."""
+    i = bisect_left(values, target)
+    return i if i < len(values) and values[i] == target else -1
 
 
 def run_trial(
@@ -107,20 +93,24 @@ def run_trial(
     ds = dataset if dataset is not None else generate(spec)
     if targets is None:
         targets = generate_queries(ds, query_spec)
-    values_arr = ds.array
+    values = ds.values
 
     cache_hit_rate: Optional[float] = None
+    probes = []
+    found = []
     if algorithm == LINEAR:
+        n = len(values)
         t0 = time.perf_counter_ns()
-        probes, found = _linear_probe_counts(values_arr, targets)
+        for target in targets:
+            i = first_occurrence(values, target)
+            probes.append(i + 1 if i >= 0 else n)
+            found.append(i >= 0)
         wall = time.perf_counter_ns() - t0
     else:
         override = None if algorithm == ADAPTIVE else algorithm
         engine = SearchEngine(replace(engine_cfg, override=override))
         reg = engine.register(ds)
         search = engine.search
-        probes = []
-        found = []
         t0 = time.perf_counter_ns()
         for target in targets:
             qr = search(reg, target)
@@ -135,7 +125,7 @@ def run_trial(
         check_rng = np.random.default_rng(query_spec.seed + 0x5F07)
         k = max(1, len(targets) // 100)
         for i in check_rng.integers(0, len(targets), size=k):
-            expected = first_occurrence(values_arr, targets[i]) >= 0
+            expected = first_occurrence(values, targets[i]) >= 0
             if found[i] != expected:
                 raise SpotCheckError(
                     f"query {targets[i]}: {algorithm} found={found[i]}, oracle found={expected}")
@@ -159,7 +149,7 @@ def run_trial(
 class SuiteConfig:
     distributions: tuple[str, ...] = (UNIFORM, EXPONENTIAL)
     sizes: tuple[int, ...] = (2**10, 2**14, 2**18, 2**20)
-    algorithms: tuple[str, ...] = (BINARY, INTERPOLATION, LINEAR, ADAPTIVE)
+    algorithms: tuple[str, ...] = TRIAL_ALGORITHMS
     queries: int = 1000
     query_mode: str = MEMBERS
     repeat_fraction: float = 0.0

@@ -9,6 +9,7 @@ import numpy as np
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
+_INFINITIES = (float("inf"), float("-inf"))
 
 
 class DatasetError(Exception):
@@ -48,7 +49,7 @@ class SortedDataset:
     """A nondecreasing sequence of 64-bit signed integers with a stable
     content fingerprint. Immutable after construction."""
 
-    __slots__ = ("values", "id", "_array")
+    __slots__ = ("values", "id")
 
     values: tuple[int, ...]
     id: DatasetId
@@ -57,17 +58,6 @@ class SortedDataset:
         # internal: use from_values() / load_dataset(), which validate
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "id", dataset_id)
-        object.__setattr__(self, "_array", None)
-
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only int64 view of `values` for the bulk numpy paths. Built
-        on first use and kept, so loading and querying never pay its memory."""
-        if self._array is None:
-            arr = np.fromiter(self.values, dtype=np.int64, count=len(self.values))
-            arr.flags.writeable = False
-            object.__setattr__(self, "_array", arr)
-        return self._array
 
     def __setattr__(self, name, value):
         raise AttributeError("SortedDataset is immutable")
@@ -97,8 +87,12 @@ class SortedDataset:
             vt = seq if type(seq) is tuple else tuple(seq)
             try:
                 arr = np.fromiter(vt, dtype=np.int64, count=len(vt))
-            except OverflowError:
-                i, v = next((i, v) for i, v in enumerate(vt) if not INT64_MIN <= int(v) <= INT64_MAX)
+            except (OverflowError, ValueError):
+                # the first value the conversion stops at; NaN and ±inf are tested before int()
+                i, v = next((i, v) for i, v in enumerate(vt)
+                            if v != v or v in _INFINITIES or not INT64_MIN <= int(v) <= INT64_MAX)
+                if v != v:
+                    raise ValueError(f"value at index {i} is not an integer: {v!r}") from None
                 raise OverflowError(f"value at index {i} exceeds 64-bit range: {v}") from None
             if not set(map(type, vt)) <= {int}:
                 # kernels rely on unbounded Python int arithmetic

@@ -52,9 +52,9 @@ class AlgorithmChoice(NamedTuple):
 
 
 def compute_stats(ds: SortedDataset, cfg: SelectorConfig | None = None) -> DistributionStats:
-    """Gap statistics of a dataset; exact when the gap count fits within
-    cfg.max_gap_samples, otherwise over an evenly strided deterministic
-    sample so analysis cost stays bounded."""
+    """Gap statistics of a dataset over at most cfg.max_gap_samples evenly
+    strided gaps: every gap when they fit, otherwise a deterministic sample
+    so analysis cost stays bounded."""
     cfg = cfg or SelectorConfig()
     values = ds.values
     n = len(values)
@@ -65,21 +65,14 @@ def compute_stats(ds: SortedDataset, cfg: SelectorConfig | None = None) -> Distr
         return DistributionStats(1, v, v, 0.0, 0.0, 0.0, False)
 
     total_gaps = n - 1
-    m = cfg.max_gap_samples
-    if total_gaps <= m:
-        gaps = [values[i + 1] - values[i] for i in range(total_gaps)]
-        sampled = False
-    else:
-        idx = [i * total_gaps // m for i in range(m)]
-        gaps = [values[i + 1] - values[i] for i in idx]
-        sampled = True
-
-    k = len(gaps)
+    k = min(total_gaps, cfg.max_gap_samples)
+    # gap i itself when every gap fits (k == total_gaps), else every total_gaps/k-th gap
+    gaps = [values[j + 1] - values[j] for j in (i * total_gaps // k for i in range(k))]
     mean = math.fsum(gaps) / k
     var = math.fsum((g - mean) ** 2 for g in gaps) / k
     std = math.sqrt(var)
     score = std / mean if mean > 0 else 0.0
-    return DistributionStats(n, values[0], values[-1], mean, std, score, sampled)
+    return DistributionStats(n, values[0], values[-1], mean, std, score, k < total_gaps)
 
 
 def choose_algorithm(stats: DistributionStats, cfg: SelectorConfig | None = None) -> AlgorithmChoice:

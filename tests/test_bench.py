@@ -23,7 +23,6 @@ from adasearch.bench import (
     UnknownFormat,
     emit_report,
     first_occurrence,
-    _linear_probe_counts,
     parse_csv,
     parse_jsonl,
     run_suite,
@@ -116,21 +115,28 @@ class TestGenerateQueries:
 class TestLinearFastPath:
     def test_matches_kernel(self):
         rng = np.random.default_rng(17)
-        values = np.sort(rng.integers(0, 60, 40, dtype=np.int64))
-        ds = SortedDataset.from_sorted_array(values)
-        targets = rng.integers(-5, 70, 200, dtype=np.int64).tolist()
-        probes, found = _linear_probe_counts(values, targets)
-        for t, p, f in zip(targets, probes, found):
-            out = linear_search(ds, t)
-            assert f == (out.index is not None)
-            assert p == out.trace.probes
+        cases = [
+            # heavy duplicates; misses below, between and above the keys
+            ([3, 3, 3, 3, 7, 7, 12, 12, 12, 40], [-5, 2, 3, 5, 7, 8, 12, 13, 40, 41, 2**62]),
+            (np.sort(rng.integers(0, 60, 40)).tolist(), rng.integers(-5, 70, 200).tolist()),
+            ([9] * 50, [8, 9, 10]),
+            ([], [-1, 0, 1]),
+        ]
+        for values, targets in cases:
+            ds = SortedDataset.from_values(values)
+            rec = run_trial(EngineConfig(), DistributionSpec("uniform", len(ds), 1),
+                            QuerySpec(len(targets), seed=1), LINEAR, dataset=ds, targets=targets)
+            outs = [linear_search(ds, t) for t in targets]
+            probes = [out.trace.probes for out in outs]
+            assert rec.found_rate == sum(out.index is not None for out in outs) / len(targets)
+            assert rec.mean_probes == sum(probes) / len(targets)
+            assert rec.p99_probes == float(np.percentile(probes, 99))
 
     def test_first_occurrence_matches_kernel(self):
-        values = np.array([1, 1, 2, 5, 5, 5, 9], dtype=np.int64)
-        ds = SortedDataset.from_sorted_array(values)
+        ds = SortedDataset.from_values([1, 1, 2, 5, 5, 5, 9])
         for t in range(-1, 11):
             out = linear_search(ds, t)
-            assert first_occurrence(values, t) == (out.index if out.index is not None else -1)
+            assert first_occurrence(ds.values, t) == (out.index if out.index is not None else -1)
 
 
 class TestRunTrial:

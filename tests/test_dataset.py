@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from adasearch import (
     NotSortedError,
     ParseError,
-    SearchEngine,
     SortedDataset,
     fingerprint,
     load_dataset,
@@ -102,9 +101,18 @@ def test_from_sorted_array_matches_from_values():
 
 
 @pytest.mark.parametrize("values,index", [([1.5, 2.7], 0), ([1, 2.5, 3], 1),
-                                          (np.array([1.0, 2.25]), 1)])
+                                          (np.array([1.0, 2.25]), 1),
+                                          ([float("nan")], 0), ([1, 2, float("nan")], 2),
+                                          (np.array([0.0, np.nan]), 1)])
 def test_non_integral_values_rejected(values, index):
     with pytest.raises(ValueError, match=f"index {index} is not an integer"):
+        SortedDataset.from_values(values)
+
+
+@pytest.mark.parametrize("values,index", [([float("inf")], 0), ([1, float("-inf")], 1),
+                                          (np.array([0.0, 1.0, np.inf]), 2)])
+def test_infinite_values_overflow(values, index):
+    with pytest.raises(OverflowError, match=f"value at index {index} exceeds 64-bit range"):
         SortedDataset.from_values(values)
 
 
@@ -113,19 +121,6 @@ def test_integral_non_int_values_become_ints():
     assert ds.values == (1, 2, 3, 4)
     assert {type(v) for v in ds.values} == {int}
     assert ds.id == SortedDataset.from_values([1, 2, 3, 4]).id
-
-
-def test_array_view_is_lazy_cached_and_read_only():
-    ds = load_dataset(io.StringIO(f"{-(2**63)}\n0\n0\n{2**63 - 1}\n"))
-    SearchEngine().register(ds)
-    assert ds._array is None  # loading and registering do not build it
-    arr = ds.array
-    assert arr.dtype == np.int64 and arr.tolist() == list(ds.values)
-    assert ds.array is arr
-    with pytest.raises(ValueError):
-        arr[0] = 1
-    with pytest.raises(AttributeError):
-        ds._array = None
 
 
 def test_from_sorted_array_rejects_descent():

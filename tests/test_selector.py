@@ -72,6 +72,25 @@ class TestComputeStats:
         assert s.sampled
         assert s.uniformity_score == 0.0
 
+    @pytest.mark.parametrize("m,n", [(7, 8), (7, 9), (64, 65), (64, 66), (64, 193)])
+    def test_stats_at_the_sample_cap(self, m, n):
+        """n - 1 == m uses every gap; one gap more switches to the stride."""
+        rng = random.Random(n)
+        values = sorted(rng.randrange(-(2**40), 2**40) for _ in range(n))
+        if n - 1 <= m:
+            gaps = [values[i + 1] - values[i] for i in range(n - 1)]
+        else:
+            starts = [i * (n - 1) // m for i in range(m)]
+            gaps = [values[j + 1] - values[j] for j in starts]
+        mean = sum(gaps) / len(gaps)
+        std = math.sqrt(sum((g - mean) ** 2 for g in gaps) / len(gaps))
+        s = compute_stats(SortedDataset.from_values(values), SelectorConfig(max_gap_samples=m))
+        assert (s.n, s.min_value, s.max_value) == (n, values[0], values[-1])
+        assert s.sampled == (n - 1 > m)
+        assert s.gap_mean == pytest.approx(mean, rel=1e-12)
+        assert s.gap_std == pytest.approx(std, rel=1e-12)
+        assert s.uniformity_score == pytest.approx(std / mean, rel=1e-12)
+
     def test_affine_invariance_of_score(self):
         rng = random.Random(7)
         for _ in range(20):
