@@ -27,8 +27,9 @@ from .distributions import (
     generate,
     generate_queries,
 )
+from .cache import LruCache
 from .engine import EngineConfig, SearchEngine
-from .search import BINARY, INTERPOLATION, LINEAR
+from .search import BINARY, INTERPOLATION, LINEAR, search_batch
 from .selector import SelectorConfig
 
 ADAPTIVE = "adaptive"
@@ -78,6 +79,18 @@ def first_occurrence(values: Sequence[int], target: int) -> int:
     return i if i < len(values) and values[i] == target else -1
 
 
+def _replay_hit_rate(capacity: int, targets: Sequence[int]) -> float:
+    """The engine's cache hit rate on a target stream. A hit returns the
+    outcome the kernel produced for that same target, so the kernel's work
+    does not depend on the stream, and replaying its keys through one LRU of
+    the engine's capacity gives the engine's hits, misses and evictions."""
+    cache = LruCache(capacity)
+    for target in targets:
+        if cache.get(target) is None:
+            cache.put(target, target)
+    return cache.stats().hit_rate
+
+
 def run_trial(
     engine_cfg: EngineConfig,
     spec: DistributionSpec,
@@ -85,9 +98,16 @@ def run_trial(
     algorithm: str = ADAPTIVE,
     dataset: SortedDataset | None = None,
     targets: list[int] | None = None,
+    keys: np.ndarray | None = None,
 ) -> TrialRecord:
     """Execute one benchmark cell. A pre-generated dataset/target stream may
-    be passed in so paired trials share them exactly."""
+    be passed in so paired trials share them exactly; `keys` is the dataset's
+    values as an int64 array, built here when absent.
+
+    Binary, interpolation and adaptive trials run the chosen kernel over all
+    targets at once (search.search_batch); the engine's per-query loop runs
+    instead when a target does not fit int64 or the keys are too wide for
+    int64 interpolation."""
     if algorithm not in TRIAL_ALGORITHMS:
         raise ValueError(f"unknown trial algorithm: {algorithm!r}")
     ds = dataset if dataset is not None else generate(spec)
@@ -96,29 +116,40 @@ def run_trial(
     values = ds.values
 
     cache_hit_rate: Optional[float] = None
-    probes = []
-    found = []
     if algorithm == LINEAR:
         n = len(values)
         t0 = time.perf_counter_ns()
-        for target in targets:
-            i = first_occurrence(values, target)
-            probes.append(i + 1 if i >= 0 else n)
-            found.append(i >= 0)
+        index = np.array([first_occurrence(values, target) for target in targets], dtype=np.int64)
         wall = time.perf_counter_ns() - t0
+        found = index >= 0
+        probes = np.where(found, index + 1, n)
     else:
-        override = None if algorithm == ADAPTIVE else algorithm
-        engine = SearchEngine(replace(engine_cfg, override=override))
-        reg = engine.register(ds)
-        search = engine.search
-        t0 = time.perf_counter_ns()
-        for target in targets:
-            qr = search(reg, target)
-            probes.append(qr.outcome.trace.probes)
-            found.append(qr.outcome.index is not None)
-        wall = time.perf_counter_ns() - t0
+        engine = None
+        kernel = algorithm
         if algorithm == ADAPTIVE:
-            cache_hit_rate = engine.report().cache.hit_rate
+            engine = SearchEngine(engine_cfg)
+            kernel = engine.register(ds).choice.algorithm
+            cache_hit_rate = _replay_hit_rate(engine_cfg.cache_capacity, targets)
+        try:
+            if keys is None:
+                keys = np.fromiter(values, np.int64, count=len(values))
+            batch = np.array(targets, dtype=np.int64)
+            t0 = time.perf_counter_ns()
+            index, probes = search_batch(keys, batch, kernel)
+            wall = time.perf_counter_ns() - t0
+            found = index >= 0
+        except OverflowError:
+            if engine is None:
+                engine = SearchEngine(replace(engine_cfg, override=kernel))
+            reg = engine.register(ds)
+            search = engine.search
+            outcomes = []
+            t0 = time.perf_counter_ns()
+            for target in targets:
+                outcomes.append(search(reg, target).outcome)
+            wall = time.perf_counter_ns() - t0
+            found = np.array([o.index is not None for o in outcomes], dtype=bool)
+            probes = np.array([o.trace.probes for o in outcomes], dtype=np.int64)
 
     # found-ness spot check on a random 1% subsample
     if targets:
@@ -136,8 +167,9 @@ def run_trial(
         distribution=spec.summary(),
         n=len(ds),
         queries=q,
-        found_rate=(sum(found) / q) if q else 0.0,
-        mean_probes=(sum(probes) / q) if q else 0.0,
+        # exact integer sums, as over Python ints
+        found_rate=int(np.count_nonzero(found)) / q if q else 0.0,
+        mean_probes=int(probes.sum()) / q if q else 0.0,
         p99_probes=float(np.percentile(probes, 99)) if q else 0.0,
         cache_hit_rate=cache_hit_rate,
         wall_time_ns=int(wall),
@@ -180,9 +212,10 @@ def run_suite(cfg: SuiteConfig) -> list[TrialRecord]:
                 targets = generate_queries(ds, qs)
             except InvalidSpec as exc:
                 raise InvalidSpec(f"suite cell ({kind}, n={n}): {exc}") from exc
+            keys = np.fromiter(ds.values, np.int64, count=len(ds))
             for algorithm in cfg.algorithms:
                 records.append(run_trial(cfg.engine, spec, qs, algorithm,
-                                         dataset=ds, targets=targets))
+                                         dataset=ds, targets=targets, keys=keys))
     return records
 
 

@@ -40,8 +40,9 @@ class DatasetId(NamedTuple):
 
 
 def fingerprint(values: Sequence[int] | np.ndarray) -> DatasetId:
-    """128-bit blake2b digest over the little-endian int64 encoding of values."""
-    encoded = np.asarray(values, dtype="<i8").tobytes()
+    """128-bit blake2b digest over the little-endian int64 encoding of values,
+    hashed from the array's buffer without a bytes copy."""
+    encoded = np.ascontiguousarray(values, dtype="<i8")
     return DatasetId(hashlib.blake2b(encoded, digest_size=16).digest())
 
 

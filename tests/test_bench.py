@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,13 @@ from adasearch import (
     generate_queries,
     linear_search,
 )
+import adasearch.bench as bench
 from adasearch.bench import (
     ADAPTIVE,
     CSV,
     CSV_HEADER,
     JSONL,
+    SpotCheckError,
     SuiteConfig,
     TABLE,
     UnknownFormat,
@@ -28,7 +32,7 @@ from adasearch.bench import (
     run_suite,
     run_trial,
 )
-from adasearch.search import BINARY, INTERPOLATION, LINEAR
+from adasearch.search import BINARY, INTERPOLATION, KERNELS, LINEAR, search_batch
 
 
 class TestGenerate:
@@ -164,6 +168,85 @@ class TestRunTrial:
         rec = run_trial(EngineConfig(), DistributionSpec("uniform", 256, 1),
                         QuerySpec(100, seed=2), BINARY)
         assert rec.cache_hit_rate is None
+
+
+def reference_hit_rate(capacity, targets):
+    recent = []  # least to most recently used
+    hits = 0
+    for t in targets:
+        if t in recent:
+            hits += 1
+            recent.remove(t)
+        elif len(recent) == capacity:
+            recent.pop(0)
+        recent.append(t)
+    return hits / len(targets)
+
+
+def reference_record(engine_cfg, spec, qs, algorithm, ds, targets):
+    """The record run_trial gives, from the scalar kernels, one query at a time."""
+    kernel = algorithm
+    if algorithm == ADAPTIVE:
+        kernel = choose_algorithm(compute_stats(ds, engine_cfg.selector), engine_cfg.selector).algorithm
+    outs = [KERNELS[kernel](ds, t) for t in targets]
+    probes = [o.trace.probes for o in outs]
+    q = len(targets)
+    return bench.TrialRecord(
+        algorithm=algorithm, distribution=spec.summary(), n=len(ds), queries=q,
+        found_rate=sum(o.index is not None for o in outs) / q,
+        mean_probes=sum(probes) / q,
+        p99_probes=float(np.percentile(probes, 99)),
+        cache_hit_rate=reference_hit_rate(engine_cfg.cache_capacity, targets)
+        if algorithm == ADAPTIVE else None,
+        wall_time_ns=0, seed=f"{spec.seed}/{qs.seed}")
+
+
+class TestBatchTrial:
+    ALGORITHMS = (BINARY, INTERPOLATION, ADAPTIVE)
+
+    def check(self, engine_cfg, spec, qs, ds, targets):
+        for algorithm in self.ALGORITHMS:
+            rec = run_trial(engine_cfg, spec, qs, algorithm, dataset=ds, targets=targets)
+            expected = reference_record(engine_cfg, spec, qs, algorithm, ds, targets)
+            assert replace(rec, wall_time_ns=0) == expected
+
+    @pytest.mark.parametrize("kind", ["uniform", "exponential", "zipf", "clustered"])
+    def test_matches_scalar_kernels(self, kind):
+        cfg = EngineConfig(cache_capacity=8)
+        for i, n in enumerate((1, 5, 17, 300)):
+            spec = DistributionSpec(kind, n, 10 + i)
+            ds = generate(spec)
+            for mode in ("members", "mixed", "repeated"):
+                qs = QuerySpec(60, mode, repeat_fraction=0.5, seed=20 + i)
+                self.check(cfg, spec, qs, ds, generate_queries(ds, qs))
+
+    def test_wide_keys_fall_back_to_the_engine(self):
+        # (n - 1) * (max - min) >= 2**63: int64 interpolation would overflow
+        ds = SortedDataset.from_values(range(-(2**62), 2**62 + 1, 2**58))
+        assert len(ds) >= 16
+        assert choose_algorithm(compute_stats(ds)).algorithm == INTERPOLATION
+        keys = np.array(ds.values, dtype=np.int64)
+        with pytest.raises(OverflowError):
+            search_batch(keys, keys, INTERPOLATION)
+        targets = list(ds.values) + [-(2**62) - 1, 5, 2**62 - 3, 2**62 + 1] + list(ds.values[:9])
+        self.check(EngineConfig(cache_capacity=4), DistributionSpec("uniform", len(ds), 1),
+                   QuerySpec(len(targets), seed=1), ds, targets)
+
+    def test_target_beyond_int64_falls_back_to_the_engine(self):
+        ds = SortedDataset.from_values(list(range(0, 200, 3)))
+        targets = [3, 2**63, 6, 2**63, 7, -(2**63) - 1, 3]
+        self.check(EngineConfig(cache_capacity=2), DistributionSpec("uniform", len(ds), 1),
+                   QuerySpec(len(targets), seed=1), ds, targets)
+
+    def test_spot_check_fires_on_the_batch_path(self, monkeypatch):
+        def every_target_missed(keys, targets, algorithm):
+            return np.full(len(targets), -1, dtype=np.int64), np.ones(len(targets), dtype=np.int64)
+
+        monkeypatch.setattr(bench, "search_batch", every_target_missed)
+        for algorithm in self.ALGORITHMS:
+            with pytest.raises(SpotCheckError):
+                run_trial(EngineConfig(), DistributionSpec("uniform", 256, 1),
+                          QuerySpec(100, "members", seed=2), algorithm)
 
 
 class TestRunSuite:

@@ -67,6 +67,12 @@ def test_fingerprint_deterministic_and_content_sensitive():
     assert fingerprint([]) == fingerprint([])
 
 
+def test_fingerprint_golden_digests():
+    # the little-endian int64 encoding is the identity; any change to it shows here
+    assert fingerprint([1, 2, 3]).hex() == "abccad42d03c940bc2b249bf5a4e1e3d"
+    assert fingerprint([]).hex() == "cae66941d9efbd404e4d88758ea67670"
+
+
 def test_fingerprint_input_form_irrelevant():
     for n in (0, 1, 64, 65, 200):
         vals = list(range(n))

@@ -1,5 +1,6 @@
 """The kernels and the engine return the same records, field for field and
-class for class, as the straightforward NamedTuple-constructing versions.
+class for class, as the straightforward NamedTuple-constructing versions, and
+the lockstep batch kernels return the scalar kernels' indices and probes.
 
 The reference kernels below are a frozen copy of the kernels as they were
 before their records were built through tuple.__new__. Keep them unchanged:
@@ -7,7 +8,9 @@ they are the oracle for the index, probe count, visited list and algorithm
 tag of every call.
 """
 
-from hypothesis import given, settings, strategies as st
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from adasearch import (
     CacheKey,
@@ -18,7 +21,7 @@ from adasearch import (
     interpolation_search,
     linear_search,
 )
-from adasearch.search import BINARY, INTERPOLATION, LINEAR, ProbeTrace, SearchOutcome
+from adasearch.search import BINARY, INTERPOLATION, LINEAR, ProbeTrace, SearchOutcome, search_batch
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -124,3 +127,45 @@ def test_engine_results_are_query_results():
     assert (miss.cache_hit, hit.cache_hit) == (False, True)
     assert hit.outcome == miss.outcome
     assert engine._cache.keys_by_recency() == [CacheKey(ds.id, 7)]
+
+
+def interpolation_fits_int64(keys):
+    return len(keys) < 2 or (len(keys) - 1) * (keys[-1] - keys[0]) < 2**63
+
+
+@st.composite
+def dataset_and_batch(draw):
+    # the families above, plus random keys narrow enough for int64 interpolation
+    keys = sorted(draw(st.one_of(key_lists, st.lists(st.integers(-(2**40), 2**40), max_size=200))))
+    candidates = [st.integers(INT64_MIN, INT64_MAX), int64_edges]
+    if keys:
+        lo, hi = keys[0], keys[-1]
+        candidates += [st.sampled_from(keys), st.integers(lo, hi)]
+        beyond = [t for t in (lo - 1, hi + 1) if INT64_MIN <= t <= INT64_MAX]
+        if beyond:
+            candidates.append(st.sampled_from(beyond))
+    return SortedDataset.from_values(keys), draw(st.lists(st.one_of(candidates), max_size=30))
+
+
+@settings(max_examples=400, deadline=None)
+@given(dataset_and_batch())
+# windows whose end keys differ by 1, where the position estimate is exact
+@example((SortedDataset.from_values([0, 0, 0, 1, 1]), [1, 0, 2, -1]))
+def test_search_batch_matches_kernels(case):
+    ds, targets = case
+    keys = np.array(ds.values, dtype=np.int64)
+    batch = np.array(targets, dtype=np.int64)
+    for algorithm, kernel in ((BINARY, binary_search), (INTERPOLATION, interpolation_search)):
+        if algorithm == INTERPOLATION and not interpolation_fits_int64(ds.values):
+            with pytest.raises(OverflowError):
+                search_batch(keys, batch, algorithm)
+            continue
+        index, probes = search_batch(keys, batch, algorithm)
+        outs = [kernel(ds, t) for t in targets]
+        assert index.tolist() == [-1 if o.index is None else o.index for o in outs]
+        assert probes.tolist() == [o.trace.probes for o in outs]
+
+
+def test_search_batch_has_no_linear_kernel():
+    with pytest.raises(ValueError):
+        search_batch(np.arange(4), np.arange(2), LINEAR)

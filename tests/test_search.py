@@ -83,6 +83,24 @@ class TestInterpolationSearch:
             assert out.index is not None
             assert data.values[out.index] == t
 
+    def test_numpy_integer_targets(self):
+        # wide keys the selector sends to interpolation; int64 arithmetic on a
+        # numpy target would wrap the position product
+        data = SortedDataset.from_values(range(-(2**62), 2**62, 2**45))
+        v = data.values
+        for t in (v[1], v[2], v[100], v[len(v) // 2 + 7], v[-2], v[5] + 1):
+            assert interpolation_search(data, np.int64(t)) == interpolation_search(data, t)
+        for t in (v[len(v) // 2 + 7], v[-2], v[-2] - 1):
+            assert interpolation_search(data, np.uint64(t)) == interpolation_search(data, t)
+        for t in (0, 12345, -1):  # 0 is a member
+            assert interpolation_search(data, np.int32(t)) == interpolation_search(data, t)
+        assert interpolation_search(data, np.int64(0)).index == len(v) // 2
+
+    @pytest.mark.parametrize("target", [5.5, 5.0, 1e30, -1e30])
+    def test_float_target_rejected(self, target):
+        with pytest.raises(TypeError):
+            interpolation_search(ds(1, 3, 5, 7), target)
+
     def test_outside_range_zero_probes(self):
         data = ds(5, 6, 7)
         assert interpolation_search(data, 1).trace.probes == 0
