@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
@@ -105,9 +105,7 @@ def run_trial(
     values as an int64 array, built here when absent.
 
     Binary, interpolation and adaptive trials run the chosen kernel over all
-    targets at once (search.search_batch); the engine's per-query loop runs
-    instead when a target does not fit int64 or the keys are too wide for
-    int64 interpolation."""
+    targets at once (search.search_batch)."""
     if algorithm not in TRIAL_ALGORITHMS:
         raise ValueError(f"unknown trial algorithm: {algorithm!r}")
     ds = dataset if dataset is not None else generate(spec)
@@ -117,39 +115,21 @@ def run_trial(
 
     cache_hit_rate: Optional[float] = None
     if algorithm == LINEAR:
-        n = len(values)
         t0 = time.perf_counter_ns()
         index = np.array([first_occurrence(values, target) for target in targets], dtype=np.int64)
         wall = time.perf_counter_ns() - t0
-        found = index >= 0
-        probes = np.where(found, index + 1, n)
+        probes = np.where(index >= 0, index + 1, len(values))
     else:
-        engine = None
         kernel = algorithm
         if algorithm == ADAPTIVE:
-            engine = SearchEngine(engine_cfg)
-            kernel = engine.register(ds).choice.algorithm
+            kernel = SearchEngine(engine_cfg).register(ds).choice.algorithm
             cache_hit_rate = _replay_hit_rate(engine_cfg.cache_capacity, targets)
-        try:
-            if keys is None:
-                keys = np.fromiter(values, np.int64, count=len(values))
-            batch = np.array(targets, dtype=np.int64)
-            t0 = time.perf_counter_ns()
-            index, probes = search_batch(keys, batch, kernel)
-            wall = time.perf_counter_ns() - t0
-            found = index >= 0
-        except OverflowError:
-            if engine is None:
-                engine = SearchEngine(replace(engine_cfg, override=kernel))
-            reg = engine.register(ds)
-            search = engine.search
-            outcomes = []
-            t0 = time.perf_counter_ns()
-            for target in targets:
-                outcomes.append(search(reg, target).outcome)
-            wall = time.perf_counter_ns() - t0
-            found = np.array([o.index is not None for o in outcomes], dtype=bool)
-            probes = np.array([o.trace.probes for o in outcomes], dtype=np.int64)
+        if keys is None:
+            keys = np.fromiter(values, np.int64, count=len(values))
+        t0 = time.perf_counter_ns()
+        index, probes = search_batch(keys, targets, kernel)
+        wall = time.perf_counter_ns() - t0
+    found = index >= 0
 
     # found-ness spot check on a random 1% subsample
     if targets:

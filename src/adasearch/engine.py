@@ -3,6 +3,7 @@ dispatch, cache fill."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -18,7 +19,7 @@ CACHE = "cache"
 class EngineConfig:
     selector: SelectorConfig = field(default_factory=SelectorConfig)
     cache_capacity: int = 1024
-    override: Optional[str] = None  # force a kernel; bench baselines only
+    override: Optional[str] = None  # force a kernel; CLI `search --algorithm`
 
     def __post_init__(self):
         if self.cache_capacity < 1:
@@ -67,7 +68,9 @@ class SearchEngine:
 
     def search(self, reg: RegisteredDataset, target: int) -> QueryResult:
         """Cache first; on a miss, run the registered (or overridden) kernel
-        and store the outcome, including not-found outcomes."""
+        and store the outcome, including not-found outcomes. A float target
+        raises TypeError, cached or not."""
+        target = operator.index(target)
         # A plain tuple equals and hashes like CacheKey(id, target), so it is
         # the same cache entry; the key and QueryResult skip NamedTuple's
         # Python-level __new__, a large share of a cache hit's cost.

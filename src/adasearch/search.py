@@ -10,7 +10,7 @@ returns their indices and probe counts.
 from __future__ import annotations
 
 import operator
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -115,27 +115,32 @@ KERNELS = {
 }
 
 
-def search_batch(keys: np.ndarray, targets: np.ndarray, algorithm: str) -> tuple[np.ndarray, np.ndarray]:
+def search_batch(keys: np.ndarray, targets: Sequence[int], algorithm: str) -> tuple[np.ndarray, np.ndarray]:
     """Binary or interpolation search for every target at once, in lockstep.
 
-    `keys` is the dataset as a nondecreasing int64 array and `targets` an
-    int64 array. Each round probes every live target's position with one
-    vector read and narrows its [lo, hi] window the way the scalar kernel
-    does. Returns int64 arrays (index, probes): per target, the index the
-    scalar kernel returns (-1 for a miss) and its probe count.
+    `keys` is the dataset as a nondecreasing int64 array and `targets` a
+    sequence of integers, each taken through operator.index as the scalar
+    interpolation kernel takes it. Each round probes every live target's
+    position with one vector read and narrows its [lo, hi] window the way the
+    scalar kernel does. Returns int64 arrays (index, probes): per target, the
+    index the scalar kernel returns (-1 for a miss) and its probe count.
 
-    Interpolation positions are exact in int64 only while
-    (n - 1) * (max - min) < 2**63; wider keys raise OverflowError, and the
-    scalar kernel, with Python ints, is the one to use for them.
+    Targets beyond int64, and interpolation keys with
+    (n - 1) * (max - min) >= 2**63, are held as Python ints (object arrays),
+    so every comparison and position product is exact.
     """
     n = len(keys)
     interpolate = algorithm == INTERPOLATION
     if interpolate:
         if n > 1 and (n - 1) * (int(keys[-1]) - int(keys[0])) >= 2**63:
-            raise OverflowError("interpolation positions overflow int64 on these keys")
+            keys = keys.astype(object)
     elif algorithm != BINARY:
         raise ValueError(f"no batch kernel for {algorithm!r}")
-    t = targets
+    t = [operator.index(x) for x in targets]
+    try:
+        t = np.array(t, dtype=np.int64)
+    except OverflowError:  # a target beyond int64
+        t = np.array(t, dtype=object)
     m = len(t)
     index = np.full(m, -1, dtype=np.int64)
     probes = np.zeros(m, dtype=np.int64)
@@ -155,7 +160,7 @@ def search_batch(keys: np.ndarray, targets: np.ndarray, algorithm: str) -> tuple
             lane, t, lo, hi, vl, vh = lane[live], t[live], lo[live], hi[live], vl[live], vh[live]
             # equal endpoints leave t == vl, so pos == lo: the scalar
             # kernel's single probe of the low endpoint, which hits
-            pos = lo + (hi - lo) * (t - vl) // np.maximum(vh - vl, 1)
+            pos = (lo + (hi - lo) * (t - vl) // np.maximum(vh - vl, 1)).astype(np.int64)
         else:
             pos = (lo + hi) // 2
         v = keys[pos]

@@ -32,7 +32,7 @@ from adasearch.bench import (
     run_suite,
     run_trial,
 )
-from adasearch.search import BINARY, INTERPOLATION, KERNELS, LINEAR, search_batch
+from adasearch.search import BINARY, INTERPOLATION, KERNELS, LINEAR
 
 
 class TestGenerate:
@@ -220,23 +220,28 @@ class TestBatchTrial:
                 qs = QuerySpec(60, mode, repeat_fraction=0.5, seed=20 + i)
                 self.check(cfg, spec, qs, ds, generate_queries(ds, qs))
 
-    def test_wide_keys_fall_back_to_the_engine(self):
+    def test_wide_keys(self):
         # (n - 1) * (max - min) >= 2**63: int64 interpolation would overflow
         ds = SortedDataset.from_values(range(-(2**62), 2**62 + 1, 2**58))
         assert len(ds) >= 16
         assert choose_algorithm(compute_stats(ds)).algorithm == INTERPOLATION
-        keys = np.array(ds.values, dtype=np.int64)
-        with pytest.raises(OverflowError):
-            search_batch(keys, keys, INTERPOLATION)
         targets = list(ds.values) + [-(2**62) - 1, 5, 2**62 - 3, 2**62 + 1] + list(ds.values[:9])
         self.check(EngineConfig(cache_capacity=4), DistributionSpec("uniform", len(ds), 1),
                    QuerySpec(len(targets), seed=1), ds, targets)
 
-    def test_target_beyond_int64_falls_back_to_the_engine(self):
+    def test_targets_beyond_int64(self):
         ds = SortedDataset.from_values(list(range(0, 200, 3)))
-        targets = [3, 2**63, 6, 2**63, 7, -(2**63) - 1, 3]
+        targets = [3, 2**63, 6, 2**63, 7, -(2**63) - 1, 3, 2**70]
         self.check(EngineConfig(cache_capacity=2), DistributionSpec("uniform", len(ds), 1),
                    QuerySpec(len(targets), seed=1), ds, targets)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_float_target_raises(self, algorithm):
+        # a float is not truncated to the int64 it would convert to
+        ds = SortedDataset.from_values([1, 5, 9])
+        with pytest.raises(TypeError):
+            run_trial(EngineConfig(), DistributionSpec("uniform", len(ds), 1),
+                      QuerySpec(1, seed=1), algorithm, dataset=ds, targets=[5.5])
 
     def test_spot_check_fires_on_the_batch_path(self, monkeypatch):
         def every_target_missed(keys, targets, algorithm):

@@ -90,6 +90,18 @@ class TestAdaptiveSearch:
             if not qr.cache_hit:
                 assert qr.algorithm_used == reg.choice.algorithm
 
+    def test_float_target_raises_whatever_the_cache_holds(self, odd_progression):
+        e = SearchEngine()
+        reg = e.register(SortedDataset.from_values(range(0, 100, 3)))
+        assert reg.choice.algorithm == INTERPOLATION
+        assert e.search(reg, 6).outcome.index == 2
+        with pytest.raises(TypeError):
+            e.search(reg, 6.0)
+        reg = e.register(odd_progression)
+        assert reg.choice.algorithm == BINARY
+        with pytest.raises(TypeError):
+            e.search(reg, 13.0)
+
 
 class TestEngineReport:
     def test_fresh_engine(self):

@@ -129,21 +129,16 @@ def test_engine_results_are_query_results():
     assert engine._cache.keys_by_recency() == [CacheKey(ds.id, 7)]
 
 
-def interpolation_fits_int64(keys):
-    return len(keys) < 2 or (len(keys) - 1) * (keys[-1] - keys[0]) < 2**63
-
-
 @st.composite
 def dataset_and_batch(draw):
-    # the families above, plus random keys narrow enough for int64 interpolation
+    # the families above, plus random keys
     keys = sorted(draw(st.one_of(key_lists, st.lists(st.integers(-(2**40), 2**40), max_size=200))))
-    candidates = [st.integers(INT64_MIN, INT64_MAX), int64_edges]
+    candidates = [st.integers(INT64_MIN - 1, INT64_MAX + 1), int64_edges,
+                  st.sampled_from([2**63, 2**70, -(2**70)])]
     if keys:
         lo, hi = keys[0], keys[-1]
-        candidates += [st.sampled_from(keys), st.integers(lo, hi)]
-        beyond = [t for t in (lo - 1, hi + 1) if INT64_MIN <= t <= INT64_MAX]
-        if beyond:
-            candidates.append(st.sampled_from(beyond))
+        candidates += [st.sampled_from(keys), st.sampled_from([lo - 1, hi + 1]),
+                       st.integers(lo, hi)]
     return SortedDataset.from_values(keys), draw(st.lists(st.one_of(candidates), max_size=30))
 
 
@@ -151,16 +146,14 @@ def dataset_and_batch(draw):
 @given(dataset_and_batch())
 # windows whose end keys differ by 1, where the position estimate is exact
 @example((SortedDataset.from_values([0, 0, 0, 1, 1]), [1, 0, 2, -1]))
+# (n - 1) * (max - min) >= 2**63, with targets on both sides of int64
+@example((SortedDataset.from_values(range(-(2**62), 2**62 + 1, 2**58)),
+          [-(2**62), 2**62, 5, 2**58, -(2**62) - 1, 2**62 + 1, INT64_MIN - 1, 2**63, 2**70]))
 def test_search_batch_matches_kernels(case):
     ds, targets = case
     keys = np.array(ds.values, dtype=np.int64)
-    batch = np.array(targets, dtype=np.int64)
     for algorithm, kernel in ((BINARY, binary_search), (INTERPOLATION, interpolation_search)):
-        if algorithm == INTERPOLATION and not interpolation_fits_int64(ds.values):
-            with pytest.raises(OverflowError):
-                search_batch(keys, batch, algorithm)
-            continue
-        index, probes = search_batch(keys, batch, algorithm)
+        index, probes = search_batch(keys, targets, algorithm)
         outs = [kernel(ds, t) for t in targets]
         assert index.tolist() == [-1 if o.index is None else o.index for o in outs]
         assert probes.tolist() == [o.trace.probes for o in outs]
