@@ -30,7 +30,6 @@ from .distributions import (
 from .cache import LruCache
 from .engine import EngineConfig, SearchEngine
 from .search import BINARY, INTERPOLATION, LINEAR, search_batch
-from .selector import SelectorConfig
 
 ADAPTIVE = "adaptive"
 
@@ -73,8 +72,7 @@ CSV_HEADER = ",".join(_FIELDS)
 
 def first_occurrence(values: Sequence[int], target: int) -> int:
     """Index of the first occurrence of target in nondecreasing values, or -1:
-    the index search.linear_search returns, found by bisection. A linear scan
-    makes index + 1 probes on a find and len(values) on a miss."""
+    the index search.linear_search returns, found by bisection."""
     i = bisect_left(values, target)
     return i if i < len(values) and values[i] == target else -1
 
@@ -104,8 +102,8 @@ def run_trial(
     be passed in so paired trials share them exactly; `keys` is the dataset's
     values as an int64 array, built here when absent.
 
-    Binary, interpolation and adaptive trials run the chosen kernel over all
-    targets at once (search.search_batch)."""
+    Every trial runs its kernel over all targets at once
+    (search.search_batch); adaptive runs the kernel the engine chooses."""
     if algorithm not in TRIAL_ALGORITHMS:
         raise ValueError(f"unknown trial algorithm: {algorithm!r}")
     ds = dataset if dataset is not None else generate(spec)
@@ -113,22 +111,16 @@ def run_trial(
         targets = generate_queries(ds, query_spec)
     values = ds.values
 
+    kernel = algorithm
     cache_hit_rate: Optional[float] = None
-    if algorithm == LINEAR:
-        t0 = time.perf_counter_ns()
-        index = np.array([first_occurrence(values, target) for target in targets], dtype=np.int64)
-        wall = time.perf_counter_ns() - t0
-        probes = np.where(index >= 0, index + 1, len(values))
-    else:
-        kernel = algorithm
-        if algorithm == ADAPTIVE:
-            kernel = SearchEngine(engine_cfg).register(ds).choice.algorithm
-            cache_hit_rate = _replay_hit_rate(engine_cfg.cache_capacity, targets)
-        if keys is None:
-            keys = np.fromiter(values, np.int64, count=len(values))
-        t0 = time.perf_counter_ns()
-        index, probes = search_batch(keys, targets, kernel)
-        wall = time.perf_counter_ns() - t0
+    if algorithm == ADAPTIVE:
+        kernel = SearchEngine(engine_cfg).register(ds).choice.algorithm
+        cache_hit_rate = _replay_hit_rate(engine_cfg.cache_capacity, targets)
+    if keys is None:
+        keys = np.fromiter(values, np.int64, count=len(values))
+    t0 = time.perf_counter_ns()
+    index, probes = search_batch(keys, targets, kernel)
+    wall = time.perf_counter_ns() - t0
     found = index >= 0
 
     # found-ness spot check on a random 1% subsample

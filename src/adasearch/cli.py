@@ -46,11 +46,10 @@ def _add_selector_flags(p: argparse.ArgumentParser) -> None:
                    help="result cache capacity (default %(default)s)")
 
 
-def _engine_config(args, override=None) -> EngineConfig:
+def _engine_config(args) -> EngineConfig:
     selector = SelectorConfig(tau=args.tau, min_interp_len=args.min_interp_len,
                               max_gap_samples=args.gap_samples)
-    return EngineConfig(selector=selector, cache_capacity=args.cache_size,
-                        override=override)
+    return EngineConfig(selector=selector, cache_capacity=args.cache_size)
 
 
 def build_parser() -> _Parser:
@@ -121,13 +120,17 @@ def _cmd_gen(args) -> int:
 def _cmd_search(args) -> int:
     with open(args.dataset, "r", encoding="utf-8") as f:
         ds = load_dataset(f)
-    engine = SearchEngine(_engine_config(args, override=args.algorithm))
+    engine = SearchEngine(_engine_config(args))
     reg = engine.register(ds)
-    qr = engine.search(reg, args.target)
-    print(f"found: {qr.outcome.index is not None}")
-    print(f"index: {qr.outcome.index if qr.outcome.index is not None else -1}")
-    print(f"probes: {qr.outcome.trace.probes}")
-    print(f"algorithm: {qr.algorithm_used}")
+    if args.algorithm is None:
+        qr = engine.search(reg, args.target)
+        outcome, used = qr.outcome, qr.algorithm_used
+    else:  # a forced kernel runs once, without the cache
+        outcome, used = KERNELS[args.algorithm](ds, args.target), args.algorithm
+    print(f"found: {outcome.index is not None}")
+    print(f"index: {outcome.index if outcome.index is not None else -1}")
+    print(f"probes: {outcome.trace.probes}")
+    print(f"algorithm: {used}")
     print(f"selected: {reg.choice.algorithm} ({reg.choice.reason})")
     return 0
 

@@ -68,8 +68,6 @@ def generate(spec: DistributionSpec) -> SortedDataset:
     rng = np.random.default_rng(spec.seed)
     n = spec.n
     p = spec.params
-    if n == 0:
-        return SortedDataset.from_sorted_array(np.empty(0, dtype=np.int64))
 
     if spec.kind == UNIFORM:
         lo, hi = _key_range(p, UNIFORM)

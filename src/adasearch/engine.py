@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .cache import CacheStats, LruCache
 from .dataset import DatasetId, SortedDataset
@@ -19,13 +19,10 @@ CACHE = "cache"
 class EngineConfig:
     selector: SelectorConfig = field(default_factory=SelectorConfig)
     cache_capacity: int = 1024
-    override: Optional[str] = None  # force a kernel; CLI `search --algorithm`
 
     def __post_init__(self):
         if self.cache_capacity < 1:
             raise ValueError("cache_capacity must be >= 1")
-        if self.override is not None and self.override not in KERNELS:
-            raise ValueError(f"unknown override kernel: {self.override}")
 
 
 class RegisteredDataset(NamedTuple):
@@ -67,9 +64,9 @@ class SearchEngine:
         return reg
 
     def search(self, reg: RegisteredDataset, target: int) -> QueryResult:
-        """Cache first; on a miss, run the registered (or overridden) kernel
-        and store the outcome, including not-found outcomes. A float target
-        raises TypeError, cached or not."""
+        """Cache first; on a miss, run the registered kernel and store the
+        outcome, including not-found outcomes. A float target raises
+        TypeError, cached or not."""
         target = operator.index(target)
         # A plain tuple equals and hashes like CacheKey(id, target), so it is
         # the same cache entry; the key and QueryResult skip NamedTuple's
@@ -78,7 +75,7 @@ class SearchEngine:
         cached = self._cache.get(key)
         if cached is not None:
             return tuple.__new__(QueryResult, (cached, True, CACHE))
-        algorithm = self.config.override or reg.choice.algorithm
+        algorithm = reg.choice.algorithm
         outcome = KERNELS[algorithm](reg.dataset, target)
         self.kernel_probes += outcome.trace.probes
         self._cache.put(key, outcome)

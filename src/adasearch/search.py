@@ -2,9 +2,9 @@
 
 Each kernel returns a SearchOutcome carrying a probe-level trace. A probe is
 one read of a dataset element compared against the target; the interpolation
-loop's range-guard reads of the endpoints are not probes. search_batch runs
-the binary and interpolation kernels for a whole vector of targets and
-returns their indices and probe counts.
+loop's range-guard reads of the endpoints are not probes. Every kernel takes
+its target through operator.index, so a float raises TypeError. search_batch
+gives the kernels' indices and probe counts for a whole vector of targets.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ def _outcome(index: Optional[int], visited: list[int], algorithm: str) -> Search
 
 def binary_search(ds: SortedDataset, target: int) -> SearchOutcome:
     """Midpoint-halving search; at most floor(log2(n)) + 1 probes."""
+    target = operator.index(target)
     values = ds.values
     lo, hi = 0, len(values) - 1
     visited: list[int] = []
@@ -68,11 +69,10 @@ def interpolation_search(ds: SortedDataset, target: int) -> SearchOutcome:
     """Position-estimating search; one probe on exact arithmetic progressions.
 
     Python integers are unbounded, so the position product cannot overflow the
-    way fixed-width arithmetic would on wide key ranges. When the active range
-    has equal endpoints the estimate's denominator is zero; that case is
-    resolved by a single direct probe of the low endpoint. The target is
-    taken as a Python int first (operator.index), so a numpy integer cannot
-    wrap the position product and a float raises TypeError.
+    way fixed-width arithmetic would on wide key ranges, and a numpy integer
+    target is taken as a Python int first. When the active range has equal
+    endpoints the estimate's denominator is zero; that case is resolved by a
+    single direct probe of the low endpoint.
     """
     target = operator.index(target)
     values = ds.values
@@ -100,6 +100,7 @@ def interpolation_search(ds: SortedDataset, target: int) -> SearchOutcome:
 def linear_search(ds: SortedDataset, target: int) -> SearchOutcome:
     """Left-to-right scan; returns the first occurrence. Needs no sortedness,
     which is what makes it the correctness oracle for the other kernels."""
+    target = operator.index(target)
     visited: list[int] = []
     for i, v in enumerate(ds.values):
         visited.append(i)
@@ -116,14 +117,17 @@ KERNELS = {
 
 
 def search_batch(keys: np.ndarray, targets: Sequence[int], algorithm: str) -> tuple[np.ndarray, np.ndarray]:
-    """Binary or interpolation search for every target at once, in lockstep.
+    """Every target's index and probe count under one kernel, at once.
 
     `keys` is the dataset as a nondecreasing int64 array and `targets` a
     sequence of integers, each taken through operator.index as the scalar
-    interpolation kernel takes it. Each round probes every live target's
-    position with one vector read and narrows its [lo, hi] window the way the
-    scalar kernel does. Returns int64 arrays (index, probes): per target, the
-    index the scalar kernel returns (-1 for a miss) and its probe count.
+    kernels take it. Binary and interpolation search run in lockstep: each
+    round probes every live target's position with one vector read and
+    narrows its [lo, hi] window the way the scalar kernel does. Linear search
+    takes the first occurrence from np.searchsorted; a scan probes index + 1
+    keys on a find and all n on a miss. Returns int64 arrays (index, probes):
+    per target, the index the scalar kernel returns (-1 for a miss) and its
+    probe count.
 
     Targets beyond int64, and interpolation keys with
     (n - 1) * (max - min) >= 2**63, are held as Python ints (object arrays),
@@ -134,13 +138,18 @@ def search_batch(keys: np.ndarray, targets: Sequence[int], algorithm: str) -> tu
     if interpolate:
         if n > 1 and (n - 1) * (int(keys[-1]) - int(keys[0])) >= 2**63:
             keys = keys.astype(object)
-    elif algorithm != BINARY:
+    elif algorithm not in (BINARY, LINEAR):
         raise ValueError(f"no batch kernel for {algorithm!r}")
     t = [operator.index(x) for x in targets]
     try:
         t = np.array(t, dtype=np.int64)
     except OverflowError:  # a target beyond int64
         t = np.array(t, dtype=object)
+    if algorithm == LINEAR:
+        first = np.searchsorted(keys, t)
+        hit = first < n
+        hit[hit] = keys[first[hit]] == t[hit]
+        return np.where(hit, first, -1), np.where(hit, first + 1, n)
     m = len(t)
     index = np.full(m, -1, dtype=np.int64)
     probes = np.zeros(m, dtype=np.int64)

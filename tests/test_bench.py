@@ -62,24 +62,31 @@ class TestGenerate:
         vals = ds.values
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
+    # rejected by a check on the drawn keys, which an empty dataset has none of
+    DRAWS_LEAVE_INT64 = [
+        ("exponential", {"scale": 1e30}),
+        ("clustered", {"spread": 1e30}),
+        ("clustered", {"lo": 2**63 - 11, "hi": 2**63 - 11, "spread": 1000}),
+        ("clustered", {"lo": -(2**63), "hi": -(2**63), "spread": 1000}),
+    ]
+
     @pytest.mark.parametrize("kind,params", [
         ("uniform", {"lo": 10, "hi": 5}),
         ("zipf", {"s": 0}),
         ("zipf", {"s": -1.0}),
         ("exponential", {"scale": 0}),
         ("clustered", {"clusters": 0}),
-        ("exponential", {"scale": 1e30}),
-        ("clustered", {"spread": 1e30}),
-        ("clustered", {"lo": 2**63 - 11, "hi": 2**63 - 11, "spread": 1000}),
-        ("clustered", {"lo": -(2**63), "hi": -(2**63), "spread": 1000}),
+        *DRAWS_LEAVE_INT64,
         ("uniform", {"hi": 2**64}),
         ("uniform", {"lo": -(2**63) - 1}),
         ("clustered", {"hi": 2**63}),
         ("clustered", {"lo": -(2**64), "hi": 0}),
     ])
     def test_invalid_params(self, kind, params):
-        with pytest.raises(InvalidSpec):
-            generate(DistributionSpec(kind, 10, 1, params))
+        # parameters are checked at n = 0 too, not only once there are keys
+        for n in (10,) if (kind, params) in self.DRAWS_LEAVE_INT64 else (10, 0):
+            with pytest.raises(InvalidSpec):
+                generate(DistributionSpec(kind, n, 1, params))
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidSpec):
@@ -202,7 +209,7 @@ def reference_record(engine_cfg, spec, qs, algorithm, ds, targets):
 
 
 class TestBatchTrial:
-    ALGORITHMS = (BINARY, INTERPOLATION, ADAPTIVE)
+    ALGORITHMS = (BINARY, INTERPOLATION, ADAPTIVE, LINEAR)
 
     def check(self, engine_cfg, spec, qs, ds, targets):
         for algorithm in self.ALGORITHMS:

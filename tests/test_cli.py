@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from adasearch import SortedDataset, bench, linear_search
 from adasearch.cli import main
 
 
@@ -49,6 +51,9 @@ def test_search_forced_algorithm(tmp_path, capsys):
     code, out, _ = run(capsys, "search", str(ds), "42", "--algorithm", "linear")
     assert code == 0
     assert "algorithm: linear" in out
+    expected = linear_search(SortedDataset.from_values(range(100)), 42)
+    assert f"index: {expected.index}\n" in out
+    assert f"probes: {expected.trace.probes}\n" in out
 
 
 def test_search_unsorted_file_is_data_error(tmp_path, capsys):
@@ -101,6 +106,28 @@ def test_gen_overflowing_draws_are_data_error(tmp_path, capsys):
         assert code == 2, flags
         assert "data error" in err and err.count("\n") == 1
         assert not out.exists()
+
+
+def test_search_invalid_cache_size_is_usage_error(tmp_path, capsys):
+    ds = tmp_path / "ds.txt"
+    ds.write_text("1\n5\n9\n")
+    code, out, err = run(capsys, "search", str(ds), "5", "--cache-size", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("adasearch: error:") and err.count("\n") == 1
+
+
+def test_bench_spot_check_failure_is_internal_error(monkeypatch, capsys):
+    def every_target_missed(keys, targets, algorithm):
+        return np.full(len(targets), -1, dtype=np.int64), np.ones(len(targets), dtype=np.int64)
+
+    monkeypatch.setattr(bench, "search_batch", every_target_missed)
+    code, out, err = run(capsys, "bench", "--seed", "1", "--sizes", "256", "--queries", "50",
+                         "--distributions", "uniform", "--algorithms", "linear")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("adasearch: internal error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -6,7 +6,6 @@ from adasearch import (
     BINARY,
     EngineConfig,
     INTERPOLATION,
-    LINEAR,
     SearchEngine,
     SortedDataset,
     linear_search,
@@ -66,13 +65,6 @@ class TestAdaptiveSearch:
         qr = e.search(reg, 4242)
         assert qr.outcome.index is not None
         assert qr.algorithm_used == INTERPOLATION
-
-    def test_override_forces_kernel(self, odd_progression):
-        e = SearchEngine(EngineConfig(override=LINEAR))
-        reg = e.register(odd_progression)
-        qr = e.search(reg, 13)
-        assert qr.algorithm_used == LINEAR
-        assert qr.outcome.trace.algorithm == LINEAR
 
     def test_not_found_is_cached(self, odd_progression):
         e = SearchEngine()

@@ -149,16 +149,20 @@ def dataset_and_batch(draw):
 # (n - 1) * (max - min) >= 2**63, with targets on both sides of int64
 @example((SortedDataset.from_values(range(-(2**62), 2**62 + 1, 2**58)),
           [-(2**62), 2**62, 5, 2**58, -(2**62) - 1, 2**62 + 1, INT64_MIN - 1, 2**63, 2**70]))
+# no keys; targets beyond int64 make np.searchsorted compare as objects
+@example((SortedDataset.from_values([]), [0, 2**63, -(2**70)]))
+@example((SortedDataset.from_values([INT64_MIN, 0, 0, INT64_MAX]), [0, INT64_MAX, INT64_MAX + 1, 2**70]))
 def test_search_batch_matches_kernels(case):
     ds, targets = case
     keys = np.array(ds.values, dtype=np.int64)
-    for algorithm, kernel in ((BINARY, binary_search), (INTERPOLATION, interpolation_search)):
+    for algorithm, kernel in ((BINARY, binary_search), (INTERPOLATION, interpolation_search),
+                              (LINEAR, linear_search)):
         index, probes = search_batch(keys, targets, algorithm)
         outs = [kernel(ds, t) for t in targets]
         assert index.tolist() == [-1 if o.index is None else o.index for o in outs]
         assert probes.tolist() == [o.trace.probes for o in outs]
 
 
-def test_search_batch_has_no_linear_kernel():
+def test_search_batch_rejects_an_algorithm_without_a_kernel():
     with pytest.raises(ValueError):
-        search_batch(np.arange(4), np.arange(2), LINEAR)
+        search_batch(np.arange(4), np.arange(2), "adaptive")

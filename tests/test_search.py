@@ -98,8 +98,10 @@ class TestInterpolationSearch:
 
     @pytest.mark.parametrize("target", [5.5, 5.0, 1e30, -1e30])
     def test_float_target_rejected(self, target):
-        with pytest.raises(TypeError):
-            interpolation_search(ds(1, 3, 5, 7), target)
+        # every kernel, not only interpolation: 5.0 is not the member 5
+        for kernel in (binary_search, interpolation_search, linear_search):
+            with pytest.raises(TypeError):
+                kernel(ds(1, 3, 5, 7), target)
 
     def test_outside_range_zero_probes(self):
         data = ds(5, 6, 7)
@@ -132,6 +134,13 @@ class TestLinearSearch:
 
     def test_first_occurrence(self):
         assert linear_search(ds(1, 1, 2), 1).index == 0
+
+
+def test_numpy_integer_target_in_binary_and_linear():
+    data = ds(1, 5, 5, 9)
+    for kernel in (binary_search, linear_search):
+        for t in (0, 1, 5, 7, 9, 10):
+            assert kernel(data, np.int64(t)) == kernel(data, t)
 
 
 def test_oracle_equivalence_small_exhaustive():
