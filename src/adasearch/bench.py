@@ -96,11 +96,9 @@ def run_trial(
     algorithm: str = ADAPTIVE,
     dataset: SortedDataset | None = None,
     targets: list[int] | None = None,
-    keys: np.ndarray | None = None,
 ) -> TrialRecord:
     """Execute one benchmark cell. A pre-generated dataset/target stream may
-    be passed in so paired trials share them exactly; `keys` is the dataset's
-    values as an int64 array, built here when absent.
+    be passed in so paired trials share them exactly.
 
     Every trial runs its kernel over all targets at once
     (search.search_batch); adaptive runs the kernel the engine chooses."""
@@ -109,17 +107,14 @@ def run_trial(
     ds = dataset if dataset is not None else generate(spec)
     if targets is None:
         targets = generate_queries(ds, query_spec)
-    values = ds.values
 
     kernel = algorithm
     cache_hit_rate: Optional[float] = None
     if algorithm == ADAPTIVE:
         kernel = SearchEngine(engine_cfg).register(ds).choice.algorithm
         cache_hit_rate = _replay_hit_rate(engine_cfg.cache_capacity, targets)
-    if keys is None:
-        keys = np.fromiter(values, np.int64, count=len(values))
     t0 = time.perf_counter_ns()
-    index, probes = search_batch(keys, targets, kernel)
+    index, probes = search_batch(ds.array, targets, kernel)
     wall = time.perf_counter_ns() - t0
     found = index >= 0
 
@@ -128,7 +123,7 @@ def run_trial(
         check_rng = np.random.default_rng(query_spec.seed + 0x5F07)
         k = max(1, len(targets) // 100)
         for i in check_rng.integers(0, len(targets), size=k):
-            expected = first_occurrence(values, targets[i]) >= 0
+            expected = first_occurrence(ds.array, targets[i]) >= 0
             if found[i] != expected:
                 raise SpotCheckError(
                     f"query {targets[i]}: {algorithm} found={found[i]}, oracle found={expected}")
@@ -184,10 +179,9 @@ def run_suite(cfg: SuiteConfig) -> list[TrialRecord]:
                 targets = generate_queries(ds, qs)
             except InvalidSpec as exc:
                 raise InvalidSpec(f"suite cell ({kind}, n={n}): {exc}") from exc
-            keys = np.fromiter(ds.values, np.int64, count=len(ds))
             for algorithm in cfg.algorithms:
                 records.append(run_trial(cfg.engine, spec, qs, algorithm,
-                                         dataset=ds, targets=targets, keys=keys))
+                                         dataset=ds, targets=targets))
     return records
 
 

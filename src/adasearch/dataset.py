@@ -48,23 +48,27 @@ def fingerprint(values: Sequence[int] | np.ndarray) -> DatasetId:
 
 class SortedDataset:
     """A nondecreasing sequence of 64-bit signed integers with a stable
-    content fingerprint. Immutable after construction."""
+    content fingerprint, held as a read-only int64 `array` and as a tuple of
+    Python ints, `values`, for the scalar kernels. Immutable after construction."""
 
-    __slots__ = ("values", "id")
+    __slots__ = ("array", "values", "id")
 
+    array: np.ndarray
     values: tuple[int, ...]
     id: DatasetId
 
-    def __init__(self, values: tuple[int, ...], dataset_id: DatasetId):
+    def __init__(self, array: np.ndarray, values: tuple[int, ...] | None, dataset_id: DatasetId):
         # internal: use from_values() / load_dataset(), which validate
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "array", array)
+        if values is not None:
+            object.__setattr__(self, "values", values)
         object.__setattr__(self, "id", dataset_id)
 
     def __setattr__(self, name, value):
         raise AttributeError("SortedDataset is immutable")
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.array)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SortedDataset) and self.id == other.id
@@ -73,16 +77,16 @@ class SortedDataset:
         return hash(self.id)
 
     def __repr__(self) -> str:
-        return f"SortedDataset(len={len(self.values)}, id={self.id.hex()[:12]})"
+        return f"SortedDataset(len={len(self.array)}, id={self.id.hex()[:12]})"
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "SortedDataset":
         """Build a dataset, verifying (not assuming) 64-bit range and
-        nondecreasing order; every loader ends here. A list or tuple of ints
-        becomes `values` as is, so large loads build no second set of ints."""
+        nondecreasing order; every loader ends here. Python ints are kept as
+        `values`; an int64 array is copied, its `values` built on first read."""
         if isinstance(values, np.ndarray) and values.dtype == np.int64:
-            arr = values
-            vt = tuple(arr.tolist())
+            arr = values.copy()
+            vt = None
         else:
             seq = values.tolist() if isinstance(values, np.ndarray) else values
             vt = seq if type(seq) is tuple else tuple(seq)
@@ -106,21 +110,36 @@ class SortedDataset:
         descents = (arr[1:] < arr[:-1]).nonzero()[0]
         if len(descents):
             raise NotSortedError(int(descents[0]) + 1)
-        return cls(vt, fingerprint(arr))
+        arr.setflags(write=False)
+        return (cls if vt is not None else _ValuesOnFirstRead)(arr, vt, fingerprint(arr))
 
     # Kept by name for callers that hold an int64 array; validation is identical.
     from_sorted_array = from_values
 
     def dump(self, stream: IO[str]) -> None:
         """Serialize back to the line-delimited text format."""
-        stream.write("".join(f"{v}\n" for v in self.values))
+        stream.write("".join(f"{v}\n" for v in self.array.tolist()))
+
+
+class _ValuesOnFirstRead(SortedDataset):
+    """A dataset made from an int64 array, until `values` is first read. The base
+    class has no property or __getattr__: either would slow every attribute read."""
+
+    __slots__ = ()
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        values = tuple(self.array.tolist())
+        object.__setattr__(self, "__class__", SortedDataset)
+        object.__setattr__(self, "values", values)
+        return values
 
 
 def load_dataset(stream: IO[str]) -> SortedDataset:
     """Parse the line-delimited integer format: one ASCII base-10 signed
     64-bit integer per line, LF separated (CR stripped), whitespace-only
     lines ignored. Range and order are verified by SortedDataset.from_values."""
-    values: list[int] = []
+    values = []
     for line_no, raw in enumerate(stream, start=1):
         # int() also accepts digit separators and non-ASCII digits; the format does not
         if "_" in raw or not raw.isascii():
@@ -130,4 +149,5 @@ def load_dataset(stream: IO[str]) -> SortedDataset:
         except ValueError:
             if raw.strip():
                 raise ParseError(line_no, raw.rstrip("\r\n")) from None
+    values = tuple(values)  # frees the list before the dataset's array is built
     return SortedDataset.from_values(values)

@@ -141,27 +141,26 @@ def generate_queries(ds: SortedDataset, qs: QuerySpec) -> list[int]:
     if len(ds) == 0:
         raise InvalidSpec("cannot draw queries from an empty dataset")
     rng = np.random.default_rng(qs.seed)
-    values = ds.values
-    n = len(values)
+    a = ds.array
+    n = len(a)
 
     if qs.mode == MEMBERS:
-        idx = rng.integers(0, n, size=qs.count)
-        return [values[i] for i in idx]
+        return a[rng.integers(0, n, size=qs.count)].tolist()
 
     if qs.mode == MIXED:
         member = rng.random(qs.count) < 0.5
         idx = rng.integers(0, n, size=qs.count)
-        uni = rng.integers(values[0], values[-1], size=qs.count, endpoint=True, dtype=np.int64)
-        return [values[idx[i]] if member[i] else int(uni[i]) for i in range(qs.count)]
+        uni = rng.integers(int(a[0]), int(a[-1]), size=qs.count, endpoint=True, dtype=np.int64)
+        return np.where(member, a[idx], uni).tolist()
 
     # REPEATED
     replay = rng.random(qs.count) < qs.repeat_fraction
-    fresh_idx = rng.integers(0, n, size=qs.count)
+    fresh = a[rng.integers(0, n, size=qs.count)].tolist()
     replay_pick = rng.random(qs.count)
     out: list[int] = []
     for i in range(qs.count):
         if replay[i] and out:
             out.append(out[int(replay_pick[i] * len(out))])
         else:
-            out.append(values[fresh_idx[i]])
+            out.append(fresh[i])
     return out

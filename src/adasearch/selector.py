@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .dataset import SortedDataset
 from .search import BINARY, INTERPOLATION
 
@@ -56,23 +58,25 @@ def compute_stats(ds: SortedDataset, cfg: SelectorConfig | None = None) -> Distr
     strided gaps: every gap when they fit, otherwise a deterministic sample
     so analysis cost stays bounded."""
     cfg = cfg or SelectorConfig()
-    values = ds.values
-    n = len(values)
+    a = ds.array
+    n = len(a)
     if n == 0:
         return DistributionStats(0, 0, 0, 0.0, 0.0, 0.0, False)
     if n == 1:
-        v = values[0]
+        v = int(a[0])
         return DistributionStats(1, v, v, 0.0, 0.0, 0.0, False)
 
     total_gaps = n - 1
     k = min(total_gaps, cfg.max_gap_samples)
     # gap i itself when every gap fits (k == total_gaps), else every total_gaps/k-th gap
-    gaps = [values[j + 1] - values[j] for j in (i * total_gaps // k for i in range(k))]
+    j = np.arange(0, total_gaps * k, total_gaps) // k
+    # endpoints as Python ints: a gap can exceed int64 (max - min reaches 2**64 - 1)
+    gaps = [h - l for h, l in zip(a[1:][j].tolist(), a[j].tolist())]
     mean = math.fsum(gaps) / k
     var = math.fsum((g - mean) ** 2 for g in gaps) / k
     std = math.sqrt(var)
     score = std / mean if mean > 0 else 0.0
-    return DistributionStats(n, values[0], values[-1], mean, std, score, k < total_gaps)
+    return DistributionStats(n, int(a[0]), int(a[-1]), mean, std, score, k < total_gaps)
 
 
 def choose_algorithm(stats: DistributionStats, cfg: SelectorConfig | None = None) -> AlgorithmChoice:

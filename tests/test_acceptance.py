@@ -30,7 +30,7 @@ from adasearch import (
     interpolation_search,
     linear_search,
 )
-from adasearch.bench import ADAPTIVE, CSV, SuiteConfig, emit_report, run_suite, run_trial
+from adasearch.bench import ADAPTIVE, run_trial
 from adasearch.cache import CacheKey
 from adasearch.dataset import fingerprint
 from adasearch.search import KERNELS, ProbeTrace, SearchOutcome

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +33,8 @@ from adasearch.bench import (
     run_suite,
     run_trial,
 )
+from adasearch.cli import main
+from adasearch.distributions import KINDS, QUERY_MODES
 from adasearch.search import BINARY, INTERPOLATION, KERNELS, LINEAR
 
 
@@ -289,6 +292,25 @@ class TestRunSuite:
         rb, ri = run_suite(cfg)
         assert ri.mean_probes < rb.mean_probes
 
+    @pytest.mark.parametrize("mode", ["members", "mixed", "repeated"])
+    def test_generated_datasets_never_build_values(self, monkeypatch, mode):
+        """The suite reads keys from ds.array alone; its tuple of Python ints
+        is never built."""
+        made = []
+
+        def recording_generate(spec):
+            made.append(generate(spec))
+            return made[-1]
+
+        monkeypatch.setattr(bench, "generate", recording_generate)
+        cfg = SuiteConfig(distributions=("uniform", "exponential"), sizes=(300, 4096),
+                          queries=200, query_mode=mode, repeat_fraction=0.5, seed=5)
+        assert len(run_suite(cfg)) == 16
+        assert len(made) == 4
+        for ds in made:
+            with pytest.raises(AttributeError):
+                SortedDataset.values.__get__(ds)
+
     def test_paired_dominance_skewed(self):
         for kind in ("exponential", "zipf"):
             cfg = SuiteConfig(distributions=(kind,), sizes=(2**14,),
@@ -341,3 +363,62 @@ def test_suite_determinism_excluding_wall_time():
         return out
 
     assert normalized() == normalized()
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def bench_csv_sha256(capsys, *argv):
+    """sha256 of an `adasearch bench --format csv` report, wall_time_ns masked."""
+    assert main(["bench", "--format", "csv", *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    col = lines[0].split(",").index("wall_time_ns")
+    masked = []
+    for line in lines:
+        cells = line.split(",")
+        cells[col] = "-"
+        masked.append(",".join(cells))
+    return sha256("\n".join(masked) + "\n")
+
+
+# Golden reports, pinned from the implementation that kept only a tuple of
+# Python ints per dataset: what the suite computes must not depend on how
+# the keys are stored.
+SMALL_SUITE = ("--distributions", *KINDS, "--sizes", "300", "4096", "--queries", "500", "--seed", "42")
+
+
+def test_golden_default_suite(capsys):
+    assert bench_csv_sha256(capsys, "--seed", "42") == (
+        "ee25e486b58ab033a573d8e993fc6ec1fce76131fb9059a9b4154bf57a94cd8c")
+
+
+@pytest.mark.parametrize("mode_args,digest", [
+    (("--query-mode", "mixed"),
+     "bfda7317e826c64ba36f6e9abbc6681383a6b0a85ffe5b547b044efbc642ba2f"),
+    (("--query-mode", "repeated", "--repeat-fraction", "0.5"),
+     "8cb5e68f1636f2f84c1281f55a520910f0c2233e690959eaee704da26a28afee"),
+])
+def test_golden_query_mode_suites(capsys, mode_args, digest):
+    assert bench_csv_sha256(capsys, *SMALL_SUITE, *mode_args) == digest
+
+
+GOLDEN_QUERIES = {
+    "members": "1d59101d01c9918d11bd2cc99b037119387578d8680c05f1e464b10c3d152524",
+    "mixed": "7b9e01891afcfb96680f30cf3b3dc6c3941bacf7a5911a99db030ecc5f900833",
+    "repeated": "7df0eafc4f3bf85501c3a176c1f520ab27770bb91b5891629a250fd6c590028d",
+}
+
+
+@pytest.mark.parametrize("mode", QUERY_MODES)
+def test_golden_query_streams(mode):
+    ds = generate(DistributionSpec("zipf", 5000, 11))
+    targets = generate_queries(ds, QuerySpec(2000, mode, 0.5, seed=12))
+    assert {type(t) for t in targets} == {int}
+    assert sha256(",".join(map(str, targets))) == GOLDEN_QUERIES[mode]
+
+
+def test_golden_gen_output(capsys):
+    assert main(["gen", "--kind", "clustered", "--n", "3000", "--seed", "5"]) == 0
+    assert sha256(capsys.readouterr().out) == (
+        "d91d96da0a9aac09452ba81788d9479a5572acd770bc135e5d0a122b5ce243c8")

@@ -101,6 +101,47 @@ def test_immutability():
         ds.values = (9,)
 
 
+def values_built(ds):
+    """Whether ds.values is set, read without building it."""
+    try:
+        SortedDataset.values.__get__(ds)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_array_is_read_only_and_detached_from_its_source():
+    src = np.array([3, 5, 5, 9], dtype=np.int64)
+    ds = SortedDataset.from_values(src)
+    src[0] = 100  # before values is first read
+    assert ds.values == (3, 5, 5, 9)
+    assert ds.id == SortedDataset.from_values([3, 5, 5, 9]).id
+    for d in (ds, SortedDataset.from_values([3, 5]), load_dataset(io.StringIO("3\n5\n"))):
+        assert d.array.dtype == np.int64
+        assert not d.array.flags.writeable
+        with pytest.raises(ValueError):
+            d.array[0] = 7
+    with pytest.raises(AttributeError):
+        ds.array = src
+
+
+def test_values_built_on_first_read_from_an_array():
+    arr = np.array([-(2**63), -1, 0, 0, 2**63 - 1], dtype=np.int64)
+    ds = SortedDataset.from_sorted_array(arr)
+    assert not values_built(ds)
+    assert len(ds) == 5 and repr(ds).startswith("SortedDataset(len=5,")
+    assert not values_built(ds)
+    values = ds.values
+    assert values == tuple(arr.tolist())
+    assert {type(v) for v in values} == {int}
+    assert values_built(ds) and ds.values is values
+    assert type(ds) is SortedDataset
+    # Python ints are kept as given, not rebuilt from the array
+    assert values_built(SortedDataset.from_values([1, 2]))
+    with pytest.raises(AttributeError):
+        ds.missing
+
+
 def test_from_sorted_array_matches_from_values():
     arr = np.array([3, 5, 5, 9], dtype=np.int64)
     assert SortedDataset.from_sorted_array(arr).id == SortedDataset.from_values([3, 5, 5, 9]).id
@@ -180,7 +221,8 @@ def test_list_array_and_text_constructors_agree(xs, presort):
         except (OverflowError, NotSortedError) as exc:
             return type(exc), str(exc)
         assert all(type(v) is int for v in ds.values)
-        return ds.values, ds.id
+        assert ds.array.dtype == np.int64 and not ds.array.flags.writeable
+        return ds.values, ds.array.tolist(), ds.id
 
     from_list = build(lambda: SortedDataset.from_values(xs))
     assert build(lambda: SortedDataset.from_values(arr)) == from_list

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from adasearch import (
@@ -11,7 +12,7 @@ from adasearch import (
     choose_algorithm,
     compute_stats,
 )
-from adasearch.selector import DEGENERATE, TOO_IRREGULAR, TOO_SMALL, UNIFORM_ENOUGH
+from adasearch.selector import DEGENERATE, TOO_IRREGULAR, TOO_SMALL, UNIFORM_ENOUGH, DistributionStats
 
 
 def gap_cv_reference(values):
@@ -22,6 +23,31 @@ def gap_cv_reference(values):
         return 0.0
     var = sum((g - mean) ** 2 for g in gaps) / len(gaps)
     return math.sqrt(var) / mean
+
+
+def stats_reference(values, m):
+    """compute_stats over Python ints: the same strided gaps and fsum order,
+    every subtraction exact."""
+    n = len(values)
+    k = min(n - 1, m)
+    gaps = [values[j + 1] - values[j] for j in (i * (n - 1) // k for i in range(k))]
+    mean = math.fsum(gaps) / k
+    std = math.sqrt(math.fsum((g - mean) ** 2 for g in gaps) / k)
+    return DistributionStats(n, values[0], values[-1], mean, std, std / mean if mean > 0 else 0.0, k < n - 1)
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def int64_extreme_families():
+    rng = random.Random(63)
+    yield [INT64_MIN, 0, INT64_MAX]  # gaps 2**63 and 2**63 - 1
+    yield [INT64_MIN, INT64_MAX]  # one gap of 2**64 - 1
+    yield [INT64_MIN] * 3 + [INT64_MAX] * 3
+    yield [INT64_MIN + i for i in range(5)] + [INT64_MAX - 4 + i for i in range(5)]
+    for n in (20, 300):
+        yield sorted(rng.choice([INT64_MIN, INT64_MAX, rng.randrange(INT64_MIN, INT64_MAX + 1)])
+                     for _ in range(n))
 
 
 class TestComputeStats:
@@ -108,6 +134,16 @@ class TestComputeStats:
         s0 = compute_stats(SortedDataset.from_values(base))
         s1 = compute_stats(SortedDataset.from_values(spiked))
         assert s1.uniformity_score > s0.uniformity_score
+
+    @pytest.mark.parametrize("m", [4096, 7])
+    def test_exact_beyond_int64_on_array_backed_datasets(self, m):
+        # gaps up to 2**64 - 1: an int64 subtraction would wrap them negative
+        for values in int64_extreme_families():
+            ds = SortedDataset.from_sorted_array(np.array(values, dtype=np.int64))
+            s = compute_stats(ds, SelectorConfig(max_gap_samples=m))
+            assert s == stats_reference(values, m)
+            assert type(s.min_value) is int and type(s.max_value) is int
+            assert compute_stats(SortedDataset.from_values(values), SelectorConfig(max_gap_samples=m)) == s
 
 
 class TestChooseAlgorithm:
