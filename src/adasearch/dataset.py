@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -79,39 +80,37 @@ class SortedDataset:
     def __repr__(self) -> str:
         return f"SortedDataset(len={len(self.array)}, id={self.id.hex()[:12]})"
 
+    def __reduce__(self):
+        # the default restores slots through __setattr__, which refuses every write
+        return SortedDataset.from_values, (self.array,)
+
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "SortedDataset":
         """Build a dataset, verifying (not assuming) 64-bit range and
-        nondecreasing order; every loader ends here. Python ints are kept as
-        `values`; an int64 array is copied, its `values` built on first read."""
+        nondecreasing order. Python ints are kept as `values`; an int64 array
+        is copied, its `values` built on first read."""
         if isinstance(values, np.ndarray) and values.dtype == np.int64:
-            arr = values.copy()
-            vt = None
-        else:
-            seq = values.tolist() if isinstance(values, np.ndarray) else values
-            vt = seq if type(seq) is tuple else tuple(seq)
-            try:
-                arr = np.fromiter(vt, dtype=np.int64, count=len(vt))
-            except (OverflowError, ValueError):
-                # the first value the conversion stops at; NaN and ±inf are tested before int()
-                i, v = next((i, v) for i, v in enumerate(vt)
-                            if v != v or v in _INFINITIES or not INT64_MIN <= int(v) <= INT64_MAX)
-                if v != v:
-                    raise ValueError(f"value at index {i} is not an integer: {v!r}") from None
-                raise OverflowError(f"value at index {i} exceeds 64-bit range: {v}") from None
-            if not set(map(type, vt)) <= {int}:
-                # kernels rely on unbounded Python int arithmetic
-                ints = arr.tolist()
-                # the int64 conversion truncates 1.5 to 1; integral 2.0, bools and numpy ints pass
-                bad = next((i for i, (v, w) in enumerate(zip(vt, ints)) if v != w), None)
-                if bad is not None:
-                    raise ValueError(f"value at index {bad} is not an integer: {vt[bad]!r}")
-                vt = tuple(ints)
-        descents = (arr[1:] < arr[:-1]).nonzero()[0]
-        if len(descents):
-            raise NotSortedError(int(descents[0]) + 1)
-        arr.setflags(write=False)
-        return (cls if vt is not None else _ValuesOnFirstRead)(arr, vt, fingerprint(arr))
+            return _adopt(values.copy())
+        seq = values.tolist() if isinstance(values, np.ndarray) else values
+        vt = seq if type(seq) is tuple else tuple(seq)
+        try:
+            arr = np.fromiter(vt, dtype=np.int64, count=len(vt))
+        except (OverflowError, ValueError):
+            # the first value the conversion stops at; NaN and ±inf are tested before int()
+            i, v = next((i, v) for i, v in enumerate(vt)
+                        if v != v or v in _INFINITIES or not INT64_MIN <= int(v) <= INT64_MAX)
+            if v != v:
+                raise ValueError(f"value at index {i} is not an integer: {v!r}") from None
+            raise OverflowError(f"value at index {i} exceeds 64-bit range: {v}") from None
+        if not set(map(type, vt)) <= {int}:
+            # kernels rely on unbounded Python int arithmetic
+            ints = arr.tolist()
+            # the int64 conversion truncates 1.5 to 1; integral 2.0, bools and numpy ints pass
+            bad = next((i for i, (v, w) in enumerate(zip(vt, ints)) if v != w), None)
+            if bad is not None:
+                raise ValueError(f"value at index {bad} is not an integer: {vt[bad]!r}")
+            vt = tuple(ints)
+        return _adopt(arr, vt)
 
     # Kept by name for callers that hold an int64 array; validation is identical.
     from_sorted_array = from_values
@@ -135,10 +134,95 @@ class _ValuesOnFirstRead(SortedDataset):
         return values
 
 
+def _adopt(arr: np.ndarray, values: tuple[int, ...] | None = None) -> SortedDataset:
+    """Finish a dataset from an int64 array that nothing else holds (and from
+    `values`, its Python ints, when the caller has them): check the order,
+    make the array read-only and fingerprint it. Every dataset is made here."""
+    descents = (arr[1:] < arr[:-1]).nonzero()[0]
+    if len(descents):
+        raise NotSortedError(int(descents[0]) + 1)
+    arr.setflags(write=False)
+    return (SortedDataset if values is not None else _ValuesOnFirstRead)(arr, values, fingerprint(arr))
+
+
+_CANONICAL_BYTES = b"0123456789-\n"
+# 10**18 - 1 < 2**63: no 18-digit line overflows, so nothing rests on how a
+# numpy version handles overflow (some saturate silently)
+_MAX_DIGITS = 18
+
+
+def _canonical_int64(raw: bytes) -> np.ndarray | None:
+    """The values of ASCII text `raw` as a new int64 array if it is exactly
+    one `-?[0-9]{1,18}` per LF-terminated line, else None. np.fromstring alone
+    is lenient: it reads a blank line or a lone "-" as 0, "+5" as 5 and "1 2"
+    as two values, so the text's shape is checked before it is parsed."""
+    if not raw.endswith(b"\n") or raw.translate(None, _CANONICAL_BYTES):  # empty text too
+        return None
+    b = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    signed = b[starts] == ord("-")
+    # in place, as each array is 8 bytes a line: a load's peak memory is its temporaries
+    digits = np.subtract(ends, starts, out=starts)
+    digits -= signed
+    # every "-" starts a line, and no line is blank, a lone "-" or too long
+    if (raw.count(b"-") != np.count_nonzero(signed)
+            or digits.min() < 1 or digits.max() > _MAX_DIGITS):
+        return None
+    lines = len(ends)
+    del ends, digits, signed  # before the parse allocates its array
+    # No warnings.catch_warnings() here: it swaps the process-wide filter list,
+    # and loads in two threads can leave every warning an error. numpy 2
+    # raises on data it cannot read; numpy 1.x warns and returns the values
+    # before it, which the count below rejects.
+    try:
+        arr = np.fromstring(raw, dtype=np.int64, sep="\n")
+    except ValueError:
+        return None
+    return arr if len(arr) == lines else None
+
+
+def _read_canonical(stream: IO[str]) -> np.ndarray | None:
+    """The values of a rewindable text stream whose text is canonical, read
+    in one pass. Otherwise None, with the stream back where it started."""
+    if not (isinstance(stream, io.TextIOBase) and stream.seekable()):
+        return None
+    try:
+        start = stream.tell()
+    except OSError:  # a text file part way through iteration cannot tell its position
+        return None
+    arr = None
+    try:
+        # the stream's own line split: not at LF in every newline mode
+        first = stream.readline()
+        stream.seek(start)
+        text = stream.read()
+    except UnicodeDecodeError:  # the loop raises it again, where it meets it
+        pass
+    else:
+        if text.isascii() and len(first) == text.find("\n") + 1:
+            raw = text.encode("ascii")
+            del text  # the check and the parse read only the bytes
+            arr = _canonical_int64(raw)
+    if arr is None:
+        stream.seek(start)
+    return arr
+
+
 def load_dataset(stream: IO[str]) -> SortedDataset:
     """Parse the line-delimited integer format: one ASCII base-10 signed
     64-bit integer per line, LF separated (CR stripped), whitespace-only
-    lines ignored. Range and order are verified by SortedDataset.from_values."""
+    lines ignored. Range and order are verified, never assumed.
+
+    Canonical text, as `dump` writes it, is parsed in one numpy call into an
+    int64 array, and `values` is built on first read. Any other text, and a
+    stream that cannot be rewound, goes through the line loop below, so every
+    accepted value and every error are the loop's."""
+    arr = _read_canonical(stream)
+    if arr is not None:
+        return _adopt(arr)
     values = []
     for line_no, raw in enumerate(stream, start=1):
         # int() also accepts digit separators and non-ASCII digits; the format does not

@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from .dataset import INT64_MAX, INT64_MIN, SortedDataset
+from .dataset import INT64_MAX, INT64_MIN, SortedDataset, _adopt
 
 UNIFORM = "uniform"
 CLUSTERED = "clustered"
@@ -102,7 +102,7 @@ def generate(spec: DistributionSpec) -> SortedDataset:
         arr = (rng.choice(universe, size=n, p=weights) + 1).astype(np.int64)
 
     arr.sort()
-    return SortedDataset.from_sorted_array(arr)
+    return _adopt(arr)
 
 
 MEMBERS = "members"

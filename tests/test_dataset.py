@@ -1,14 +1,21 @@
+import copy
 import io
+import pickle
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adasearch import (
+    DistributionSpec,
     NotSortedError,
     ParseError,
     SortedDataset,
     fingerprint,
+    generate,
     load_dataset,
 )
 
@@ -227,3 +234,164 @@ def test_list_array_and_text_constructors_agree(xs, presort):
     from_list = build(lambda: SortedDataset.from_values(xs))
     assert build(lambda: SortedDataset.from_values(arr)) == from_list
     assert build(lambda: load_dataset(io.StringIO(text))) == from_list
+
+
+def load_by_lines(stream):
+    """load_dataset's line loop, copied as the reference its one-pass path must match."""
+    values = []
+    for line_no, raw in enumerate(stream, start=1):
+        if "_" in raw or not raw.isascii():
+            raise ParseError(line_no, raw.rstrip("\r\n"))
+        try:
+            values.append(int(raw, 10))
+        except ValueError:
+            if raw.strip():
+                raise ParseError(line_no, raw.rstrip("\r\n")) from None
+    return SortedDataset.from_values(tuple(values))
+
+
+def load_outcome(load, make_stream):
+    with make_stream() as stream:
+        try:
+            ds = load(stream)
+        except Exception as exc:
+            return type(exc), str(exc)
+    assert ds.array.dtype == np.int64 and not ds.array.flags.writeable
+    assert all(type(v) is int for v in ds.values)
+    return ds.values, ds.array.tolist(), ds.id
+
+
+# around the edges of int64 and of the 18 digits the one-pass parse accepts
+WIDE_LITERALS = [str(v) for v in (10**17, 10**18 - 1, 10**18, 2**63 - 1, 2**63, 10**19 - 1, 10**19,
+                                  -(10**18 - 1), -(10**18), -(2**63), -(2**63) - 1, -(10**19))]
+HOSTILE_LINES = ["", " ", "\t", "\r", "-", "+", "+5", "--5", "5-3", "-5-", "1_000", "\u0661\u0662",
+                 "\uff15", "\u00b2", "1 2", " 7", "7 ", "\t8\t", "-0", "007", "-007", "0x10", "1.5",
+                 "1e3", "\x0b3", "3\x0c", "3\x1c", "\x85", "4\u2028", "nan"]
+line = st.one_of(st.integers(-(2**64), 2**64).map(str), st.sampled_from(WIDE_LITERALS),
+                 st.sampled_from(HOSTILE_LINES))
+
+
+@st.composite
+def dataset_texts(draw):
+    """Canonical texts of sorted ints, some with one line spoiled, and free mixes of
+    canonical and hostile lines, each line ending in LF or CRLF, the last maybe in neither."""
+    if draw(st.booleans()):
+        lines = [str(v) for v in sorted(draw(st.lists(st.integers(-(10**18 - 1), 10**18 - 1), max_size=20)))]
+        if lines and draw(st.booleans()):
+            lines[draw(st.integers(0, len(lines) - 1))] = draw(line)
+    else:
+        lines = draw(st.lists(line, max_size=12))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(v + e for v, e in zip(lines, ends))
+    return text[:-1] if text and draw(st.booleans()) else text
+
+
+@settings(max_examples=500, deadline=None)
+@given(dataset_texts())
+@example("")
+@example("\n")
+@example(" \n")  # numpy reads a blank line as 0
+@example("-\n")
+@example("  \n\t\n")
+@example("1\n\n2\n")
+@example("\n1\n")
+@example("1\n-\n2\n")  # numpy reads "-\n2" as -2
+@example("7-\n8\n")
+@example("-5-\n3\n")
+@example("+5\n")
+@example("1 2\n")
+@example("1\n2")
+@example("5\n3\n")
+@example("99999999999999999999\n")
+@example("9223372036854775808\n")
+@example("-9223372036854775809\n")
+def test_load_matches_the_line_loop(text):
+    expected = load_outcome(load_by_lines, lambda: io.StringIO(text))
+    assert load_outcome(load_dataset, lambda: io.StringIO(text)) == expected
+
+
+def test_canonical_text_is_parsed_in_one_pass(tmp_path):
+    ds = generate(DistributionSpec("uniform", 2000, 5, {"lo": -(10**18) + 1, "hi": 10**18 - 1}))
+    path = tmp_path / "keys.txt"
+    with open(path, "w", encoding="utf-8") as f:
+        ds.dump(f)
+    with open(path, encoding="utf-8") as f:
+        loaded = load_dataset(f)
+        assert f.read() == ""  # left at the end, as the loop leaves it
+    assert not values_built(loaded)
+    assert loaded.id == ds.id and loaded.values == ds.values
+    assert not values_built(load_dataset(io.StringIO("-5\n0\n0\n17\n")))
+    # CRLF, translated to LF by a file opened in the default newline mode
+    path.write_bytes(b"-3\r\n4\r\n")
+    with open(path, encoding="utf-8") as f:
+        assert not values_built(load_dataset(f))
+    # a 19-digit line is left to the loop even when it is in range
+    assert values_built(load_dataset(io.StringIO(f"{2**63 - 1}\n")))
+
+
+def test_streams_the_one_pass_read_must_not_misread(tmp_path):
+    def same_as_loop(make_stream):
+        assert load_outcome(load_dataset, make_stream) == load_outcome(load_by_lines, make_stream)
+
+    # newline="\r" splits lines at CR only, so "1\n2\n" is one malformed line
+    same_as_loop(lambda: io.TextIOWrapper(io.BytesIO(b"1\n2\n"), encoding="utf-8", newline="\r"))
+    # invalid UTF-8 past the first decoded chunk, after a malformed line: the loop reports the line
+    keys = "".join(f"{i}\n" for i in range(5000)).encode()
+    for data in (b"1\nxyz\n" + keys + b"\xff\n", keys + b"\xc3\x28\n", b"\xff1\n"):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        same_as_loop(lambda: open(path, encoding="utf-8"))
+    # a file read part way through iteration cannot tell its position: the loop goes on from there
+    path.write_bytes(b"9\n1\n2\n")
+
+    def after_first_line():
+        f = open(path, encoding="utf-8")
+        next(f)
+        return f
+    same_as_loop(after_first_line)
+    assert load_dataset(iter(["1\n", "2\n"])).values == (1, 2)
+
+
+def dataset_forms():
+    yield SortedDataset.from_values([-(2**63), 0, 0, 2**63 - 1])
+    yield SortedDataset.from_values(np.array([3, 5, 5, 9], dtype=np.int64))
+    read = SortedDataset.from_values(np.array([3, 5, 5, 9], dtype=np.int64))
+    read.values
+    yield read
+    yield load_dataset(io.StringIO("-5\n0\n0\n17\n"))
+    yield SortedDataset.from_values([])
+
+
+@pytest.mark.parametrize("round_trip", [lambda d: pickle.loads(pickle.dumps(d)), copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_pickle_and_copy_round_trip(round_trip):
+    for ds in dataset_forms():
+        again = round_trip(ds)
+        assert again == ds and again.id == ds.id
+        assert again.values == ds.values
+        assert again.array.tolist() == ds.array.tolist()
+        assert again.array.dtype == np.int64 and not again.array.flags.writeable
+
+
+def test_loads_in_threads_leave_the_warning_filters_alone():
+    text = "".join(f"{i}\n" for i in range(20000))
+    before = list(warnings.filters)
+    one_pass = []
+
+    def load_many():
+        for _ in range(20):
+            one_pass.append(not values_built(load_dataset(io.StringIO(text))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=load_many) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert one_pass == [True] * 80
+    assert warnings.filters == before
