@@ -28,8 +28,9 @@ from .distributions import (
     generate_queries,
 )
 from .cache import LruCache
-from .engine import EngineConfig, SearchEngine
+from .engine import EngineConfig
 from .search import BINARY, INTERPOLATION, LINEAR, search_batch
+from .selector import choose_algorithm, compute_stats
 
 ADAPTIVE = "adaptive"
 
@@ -101,7 +102,8 @@ def run_trial(
     be passed in so paired trials share them exactly.
 
     Every trial runs its kernel over all targets at once
-    (search.search_batch); adaptive runs the kernel the engine chooses."""
+    (search.search_batch); adaptive runs the kernel the engine's register
+    would choose, without fingerprinting the dataset."""
     if algorithm not in TRIAL_ALGORITHMS:
         raise ValueError(f"unknown trial algorithm: {algorithm!r}")
     ds = dataset if dataset is not None else generate(spec)
@@ -111,7 +113,8 @@ def run_trial(
     kernel = algorithm
     cache_hit_rate: Optional[float] = None
     if algorithm == ADAPTIVE:
-        kernel = SearchEngine(engine_cfg).register(ds).choice.algorithm
+        sel = engine_cfg.selector
+        kernel = choose_algorithm(compute_stats(ds, sel), sel).algorithm
         cache_hit_rate = _replay_hit_rate(engine_cfg.cache_capacity, targets)
     t0 = time.perf_counter_ns()
     index, probes = search_batch(ds.array, targets, kernel)

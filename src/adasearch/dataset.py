@@ -48,22 +48,29 @@ def fingerprint(values: Sequence[int] | np.ndarray) -> DatasetId:
 
 
 class SortedDataset:
-    """A nondecreasing sequence of 64-bit signed integers with a stable
-    content fingerprint, held as a read-only int64 `array` and as a tuple of
-    Python ints, `values`, for the scalar kernels. Immutable after construction."""
+    """A nondecreasing sequence of 64-bit signed integers, held as a read-only
+    int64 `array` and as a tuple of Python ints, `values`, for the scalar
+    kernels. Its content fingerprint, `id`, is computed on first use (register,
+    ==, hash, repr) and then kept. Immutable after construction."""
 
-    __slots__ = ("array", "values", "id")
+    __slots__ = ("array", "values", "_id")
 
     array: np.ndarray
     values: tuple[int, ...]
-    id: DatasetId
 
-    def __init__(self, array: np.ndarray, values: tuple[int, ...] | None, dataset_id: DatasetId):
+    def __init__(self, array: np.ndarray, values: tuple[int, ...] | None):
         # internal: use from_values() / load_dataset(), which validate
         object.__setattr__(self, "array", array)
         if values is not None:
             object.__setattr__(self, "values", values)
-        object.__setattr__(self, "id", dataset_id)
+
+    @property
+    def id(self) -> DatasetId:
+        try:
+            return self._id
+        except AttributeError:
+            object.__setattr__(self, "_id", fingerprint(self.array))
+            return self._id
 
     def __setattr__(self, name, value):
         raise AttributeError("SortedDataset is immutable")
@@ -122,7 +129,7 @@ class SortedDataset:
 
 class _ValuesOnFirstRead(SortedDataset):
     """A dataset made from an int64 array, until `values` is first read. The base
-    class has no property or __getattr__: either would slow every attribute read."""
+    class's `values` is a plain slot: a property or __getattr__ would slow every read."""
 
     __slots__ = ()
 
@@ -136,13 +143,14 @@ class _ValuesOnFirstRead(SortedDataset):
 
 def _adopt(arr: np.ndarray, values: tuple[int, ...] | None = None) -> SortedDataset:
     """Finish a dataset from an int64 array that nothing else holds (and from
-    `values`, its Python ints, when the caller has them): check the order,
-    make the array read-only and fingerprint it. Every dataset is made here."""
+    `values`, its Python ints, when the caller has them): check the order and
+    make the array read-only. Every dataset is made here; none is fingerprinted
+    until its `id` is first read."""
     descents = (arr[1:] < arr[:-1]).nonzero()[0]
     if len(descents):
         raise NotSortedError(int(descents[0]) + 1)
     arr.setflags(write=False)
-    return (SortedDataset if values is not None else _ValuesOnFirstRead)(arr, values, fingerprint(arr))
+    return (SortedDataset if values is not None else _ValuesOnFirstRead)(arr, values)
 
 
 _CANONICAL_BYTES = b"0123456789-\n"

@@ -29,6 +29,7 @@ class RegisteredDataset(NamedTuple):
     dataset: SortedDataset
     stats: DistributionStats
     choice: AlgorithmChoice
+    id: DatasetId  # the dataset's fingerprint, read once here so no query reads a property
 
 
 class QueryResult(NamedTuple):
@@ -55,12 +56,14 @@ class SearchEngine:
         self.kernel_probes = 0  # total probes spent in kernels (misses only)
 
     def register(self, ds: SortedDataset) -> RegisteredDataset:
-        reg = self._registry.get(ds.id)
+        """Analyze ds once per engine; its fingerprint is computed here if nothing read it before."""
+        dataset_id = ds.id
+        reg = self._registry.get(dataset_id)
         if reg is None:
             stats = compute_stats(ds, self.config.selector)
             choice = choose_algorithm(stats, self.config.selector)
-            reg = RegisteredDataset(ds, stats, choice)
-            self._registry[ds.id] = reg
+            reg = RegisteredDataset(ds, stats, choice, dataset_id)
+            self._registry[dataset_id] = reg
         return reg
 
     def search(self, reg: RegisteredDataset, target: int) -> QueryResult:
@@ -71,7 +74,7 @@ class SearchEngine:
         # A plain tuple equals and hashes like CacheKey(id, target), so it is
         # the same cache entry; the key and QueryResult skip NamedTuple's
         # Python-level __new__, a large share of a cache hit's cost.
-        key = (reg.dataset.id, target)
+        key = (reg.id, target)
         cached = self._cache.get(key)
         if cached is not None:
             return tuple.__new__(QueryResult, (cached, True, CACHE))

@@ -9,6 +9,8 @@ from adasearch import (
     EngineConfig,
     InvalidSpec,
     QuerySpec,
+    SearchEngine,
+    SelectorConfig,
     SortedDataset,
     choose_algorithm,
     compute_stats,
@@ -310,6 +312,33 @@ class TestRunSuite:
         for ds in made:
             with pytest.raises(AttributeError):
                 SortedDataset.values.__get__(ds)
+
+    def test_adaptive_row_is_the_engines_choice(self, monkeypatch):
+        """run_trial picks the adaptive kernel without an engine; on every cell
+        of the default suite its row matches the row of the kernel that
+        SearchEngine.register chooses."""
+        made = []
+
+        def recording_generate(spec):
+            made.append(generate(spec))
+            return made[-1]
+
+        monkeypatch.setattr(bench, "generate", recording_generate)
+        picked = set()
+        for tau in (0.5, 1.0, 2.0):
+            made.clear()
+            cfg = SuiteConfig(seed=42, engine=EngineConfig(selector=SelectorConfig(tau=tau)))
+            records = run_suite(cfg)
+            per_cell = len(cfg.algorithms)
+            assert len(records) == per_cell * len(made) == per_cell * 8
+            for i, ds in enumerate(made):
+                cell = {r.algorithm: r for r in records[i * per_cell:(i + 1) * per_cell]}
+                kernel = SearchEngine(cfg.engine).register(ds).choice.algorithm
+                picked.add((kernel, cell[BINARY].mean_probes != cell[INTERPOLATION].mean_probes))
+                for column in ("mean_probes", "p99_probes"):
+                    assert getattr(cell[ADAPTIVE], column) == getattr(cell[kernel], column), (tau, i)
+        # both kernels are picked where their rows differ, so a wrong pick shows
+        assert {(BINARY, True), (INTERPOLATION, True)} <= picked
 
     def test_paired_dominance_skewed(self):
         for kind in ("exponential", "zipf"):

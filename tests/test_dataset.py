@@ -13,6 +13,7 @@ from adasearch import (
     DistributionSpec,
     NotSortedError,
     ParseError,
+    SearchEngine,
     SortedDataset,
     fingerprint,
     generate,
@@ -115,6 +116,57 @@ def values_built(ds):
     except AttributeError:
         return False
     return True
+
+
+def fingerprinted(ds):
+    """Whether ds.id is computed, read without computing it."""
+    try:
+        SortedDataset._id.__get__(ds)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_no_constructor_fingerprints(fingerprint_calls):
+    made = {
+        "generate": generate(DistributionSpec("uniform", 500, 3)),
+        "load, one pass": load_dataset(io.StringIO("-5\n0\n0\n17\n")),
+        "load, line loop": load_dataset(io.StringIO("-5\r\n0\n\n17")),
+        "from_values, ints": SortedDataset.from_values([1, 2, 2]),
+        "from_values, array": SortedDataset.from_values(np.array([1, 2, 2], dtype=np.int64)),
+        "from_sorted_array": SortedDataset.from_sorted_array(np.array([4, 5], dtype=np.int64)),
+    }
+    assert not values_built(made["load, one pass"]) and values_built(made["load, line loop"])
+    assert fingerprint_calls == []
+    hashed = SortedDataset.from_values([7, 8, 9])
+    hashed.id
+    for name, round_trip in (("pickle", lambda d: pickle.loads(pickle.dumps(d))),
+                             ("copy", copy.copy), ("deepcopy", copy.deepcopy)):
+        made[name] = round_trip(hashed)
+    for name, ds in made.items():
+        ds.values, len(ds), ds.array.sum()
+        assert not fingerprinted(ds), name
+    assert len(fingerprint_calls) == 1 and fingerprint_calls[0] is hashed.array
+
+
+@pytest.mark.parametrize("use", [lambda ds, twin: SearchEngine().register(ds),
+                                 lambda ds, twin: ds == twin,
+                                 lambda ds, twin: hash(ds),
+                                 lambda ds, twin: repr(ds)],
+                         ids=["register", "eq", "hash", "repr"])
+def test_first_use_fingerprints_once(fingerprint_calls, use):
+    for make in (lambda: SortedDataset.from_values([3, 5, 5, 9]),
+                 lambda: load_dataset(io.StringIO("3\n5\n5\n9\n"))):
+        twin = make()
+        twin.id
+        ds = make()
+        fingerprint_calls.clear()
+        use(ds, twin)
+        assert fingerprinted(ds)
+        assert len(fingerprint_calls) == 1 and fingerprint_calls[0] is ds.array
+        assert ds.id is ds.id and ds.id == fingerprint(ds.array)
+        use(ds, twin), ds == twin, hash(ds), repr(ds)
+        assert len(fingerprint_calls) == 1
 
 
 def test_array_is_read_only_and_detached_from_its_source():

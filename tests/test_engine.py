@@ -35,6 +35,18 @@ class TestRegister:
         reg = e.register(SortedDataset.from_values(range(8)))
         assert reg.choice == (BINARY, TOO_SMALL)
 
+    def test_fingerprinted_once_for_a_register_and_its_queries(self, fingerprint_calls):
+        ds = SortedDataset.from_values(range(0, 3000, 3))
+        e = SearchEngine(EngineConfig(cache_capacity=64))
+        reg = e.register(ds)
+        assert len(fingerprint_calls) == 1 and reg.id is ds.id
+        hits = 0
+        for t in random.Random(2).choices(range(-10, 3010), k=1000):
+            hits += e.search(reg, t).cache_hit
+        assert 0 < hits < 1000 and e.report().cache.misses == 1000 - hits
+        assert e.register(ds) is reg
+        assert len(fingerprint_calls) == 1
+
     def test_reregistration_memoized(self):
         e = SearchEngine()
         ds = SortedDataset.from_values(range(100))
