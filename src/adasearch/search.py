@@ -2,9 +2,11 @@
 
 Each kernel returns a SearchOutcome carrying a probe-level trace. A probe is
 one read of a dataset element compared against the target; the interpolation
-loop's range-guard reads of the endpoints are not probes. Every kernel takes
-its target through operator.index, so a float raises TypeError. search_batch
-gives the kernels' indices and probe counts for a whole vector of targets.
+loop's range-guard reads of the endpoints are not probes. After G =
+n.bit_length() probes, interpolation search bisects (the guard), so it makes at
+most 2G = 2(floor(log2 n) + 1) probes. Every kernel takes its target through
+operator.index, so a float raises TypeError. search_batch gives the kernels'
+indices and probe counts for a whole vector of targets.
 """
 
 from __future__ import annotations
@@ -72,20 +74,25 @@ def interpolation_search(ds: SortedDataset, target: int) -> SearchOutcome:
     way fixed-width arithmetic would on wide key ranges, and a numpy integer
     target is taken as a Python int first. When the active range has equal
     endpoints the estimate's denominator is zero; that case is resolved by a
-    single direct probe of the low endpoint.
+    single direct probe of the low endpoint. After G = n.bit_length() probes
+    it probes window midpoints instead (the guard), so a call makes at most
+    2G = 2(floor(log2 n) + 1) probes, the first G those of the unguarded loop.
     """
     target = operator.index(target)
     values = ds.values
     lo, hi = 0, len(values) - 1
+    guard = len(values).bit_length()
     visited: list[int] = []
-    while lo <= hi and values[lo] <= target <= values[hi]:
+    while lo <= hi:
         vl = values[lo]
         vh = values[hi]
+        if not vl <= target <= vh:
+            break
         if vl == vh:
             visited.append(lo)
             idx = lo if vl == target else None
             return _outcome(idx, visited, INTERPOLATION)
-        pos = lo + (hi - lo) * (target - vl) // (vh - vl)
+        pos = lo + (hi - lo) * (target - vl) // (vh - vl) if len(visited) < guard else (lo + hi) // 2
         v = values[pos]
         visited.append(pos)
         if v == target:
@@ -123,8 +130,9 @@ def search_batch(keys: np.ndarray, targets: Sequence[int], algorithm: str) -> tu
     sequence of integers, each taken through operator.index as the scalar
     kernels take it. Binary and interpolation search run in lockstep: each
     round probes every live target's position with one vector read and
-    narrows its [lo, hi] window the way the scalar kernel does. Linear search
-    takes the first occurrence from np.searchsorted; a scan probes index + 1
+    narrows its [lo, hi] window the way the scalar kernel does, interpolation
+    with its guard: at most 2 * n.bit_length() probes. Linear search takes the
+    first occurrence from np.searchsorted; a scan probes index + 1
     keys on a find and all n on a miss. Returns int64 arrays (index, probes):
     per target, the index the scalar kernel returns (-1 for a miss) and its
     probe count.
@@ -151,6 +159,7 @@ def search_batch(keys: np.ndarray, targets: Sequence[int], algorithm: str) -> tu
         hit[hit] = keys[first[hit]] == t[hit]
         return np.where(hit, first, -1), np.where(hit, first + 1, n)
     m = len(t)
+    guard, rounds = n.bit_length(), 0
     index = np.full(m, -1, dtype=np.int64)
     probes = np.zeros(m, dtype=np.int64)
     lane = np.arange(m)
@@ -168,8 +177,13 @@ def search_batch(keys: np.ndarray, targets: Sequence[int], algorithm: str) -> tu
             live = (vl <= t) & (t <= vh)
             lane, t, lo, hi, vl, vh = lane[live], t[live], lo[live], hi[live], vl[live], vh[live]
             # equal endpoints leave t == vl, so pos == lo: the scalar
-            # kernel's single probe of the low endpoint, which hits
-            pos = (lo + (hi - lo) * (t - vl) // np.maximum(vh - vl, 1)).astype(np.int64)
+            # kernel's single probe of the low endpoint, which hits; every
+            # live lane has made `rounds` probes, so one compare is the guard
+            if rounds < guard:
+                pos = (lo + (hi - lo) * (t - vl) // np.maximum(vh - vl, 1)).astype(np.int64)
+            else:
+                pos = np.where(vl == vh, lo, (lo + hi) // 2)
+            rounds += 1
         else:
             pos = (lo + hi) // 2
         v = keys[pos]

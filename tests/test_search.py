@@ -11,6 +11,9 @@ from adasearch import (
     interpolation_search,
     linear_search,
 )
+from adasearch.search import INTERPOLATION, search_batch
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 def ds(*values):
@@ -48,6 +51,30 @@ class TestBinarySearch:
         for t in targets.tolist():
             out = binary_search(data, t)
             assert out.trace.probes <= bound
+
+
+# the families on which an unguarded interpolation search degrades toward a scan
+adversarial_keys = st.one_of(
+    st.integers(1, 1000).map(lambda n: list(range(n)) + [2**62]),  # one far outlier
+    st.tuples(st.integers(1, 500), st.integers(1, 500), st.integers(2**20, 2**61)).map(
+        lambda c: list(range(c[0])) + list(range(c[2], c[2] + c[1]))),  # two clusters
+    st.integers(1, 63).map(lambda k: [2**i for i in range(k)]),  # geometric
+    st.lists(st.integers(-3, 3), min_size=1, max_size=300).map(sorted),  # heavy duplicates
+    st.lists(st.one_of(st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, INT64_MAX - 1, INT64_MAX]),
+                       st.integers(INT64_MIN, INT64_MAX)), min_size=1, max_size=60).map(sorted),
+)
+
+
+@st.composite
+def adversarial_cases(draw):
+    keys = draw(adversarial_keys)
+    lo, hi = keys[0], keys[-1]
+    targets = draw(st.lists(st.one_of(st.sampled_from(keys), st.integers(lo, hi),
+                                      st.sampled_from([lo - 1, hi + 1])), min_size=1, max_size=20))
+    # numpy-scalar targets, which the kernels take through operator.index
+    targets = [np.int64(t) if INT64_MIN <= t <= INT64_MAX and draw(st.booleans()) else t
+               for t in targets]
+    return SortedDataset.from_values(keys), targets
 
 
 class TestInterpolationSearch:
@@ -119,6 +146,34 @@ class TestInterpolationSearch:
         assert (out.index is not None) == (lin.index is not None)
         if out.index is not None:
             assert data.values[out.index] == target
+
+    @settings(max_examples=300, deadline=None)
+    @given(adversarial_cases())
+    def test_probe_bound_on_adversarial_families(self, case):
+        data, targets = case
+        bound = 2 * len(data).bit_length()
+        index, probes = search_batch(data.array, targets, INTERPOLATION)
+        for t, i, p in zip(targets, index.tolist(), probes.tolist()):
+            out = interpolation_search(data, t)
+            assert out.trace.probes <= bound
+            assert out.found == linear_search(data, t).found
+            assert out.index is None or data.values[out.index] == t
+            assert (i, p) == (-1 if out.index is None else out.index, out.trace.probes)
+
+    def test_outlier_key_stays_within_the_guard(self):
+        # keys 0..2^20-2 plus 2^62: the outlier puts every interpolated
+        # position at the window's low end, so unguarded the search scanned up
+        # one key a probe (1,048,574 probes for 2^20-3, 524,289 for 2^19); the
+        # bound is 2 * (2^20).bit_length() = 42
+        data = SortedDataset.from_values(np.append(np.arange(2**20 - 1), 2**62))
+        targets = [2**20 - 3, 2**19]
+        for t in targets:
+            out = interpolation_search(data, t)
+            assert out.index == t
+            assert out.trace.probes <= 42
+        index, probes = search_batch(data.array, targets, INTERPOLATION)
+        assert index.tolist() == targets
+        assert probes.max() <= 42
 
 
 class TestLinearSearch:
