@@ -49,20 +49,21 @@ def fingerprint(values: Sequence[int] | np.ndarray) -> DatasetId:
 
 class SortedDataset:
     """A nondecreasing sequence of 64-bit signed integers, held as a read-only
-    int64 `array` and as a tuple of Python ints, `values`, for the scalar
-    kernels. Its content fingerprint, `id`, is computed on first use (register,
-    ==, hash, repr) and then kept. Immutable after construction."""
+    int64 `array`. `values` is a read-only memoryview of that array, which the
+    scalar kernels index: each element reads as a Python int. Its content
+    fingerprint, `id`, is computed on first use (register, ==, hash, repr) and
+    then kept. Immutable after construction."""
 
     __slots__ = ("array", "values", "_id")
 
     array: np.ndarray
-    values: tuple[int, ...]
+    values: memoryview
 
-    def __init__(self, array: np.ndarray, values: tuple[int, ...] | None):
-        # internal: use from_values() / load_dataset(), which validate
+    def __init__(self, array: np.ndarray):
+        # internal: use from_values() / load_dataset(), which validate and make
+        # the array read-only first, so that its view is read-only too
         object.__setattr__(self, "array", array)
-        if values is not None:
-            object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", memoryview(array))
 
     @property
     def id(self) -> DatasetId:
@@ -94,8 +95,7 @@ class SortedDataset:
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "SortedDataset":
         """Build a dataset, verifying (not assuming) 64-bit range and
-        nondecreasing order. Python ints are kept as `values`; an int64 array
-        is copied, its `values` built on first read."""
+        nondecreasing order. An int64 array is copied."""
         if isinstance(values, np.ndarray) and values.dtype == np.int64:
             return _adopt(values.copy())
         seq = values.tolist() if isinstance(values, np.ndarray) else values
@@ -110,14 +110,12 @@ class SortedDataset:
                 raise ValueError(f"value at index {i} is not an integer: {v!r}") from None
             raise OverflowError(f"value at index {i} exceeds 64-bit range: {v}") from None
         if not set(map(type, vt)) <= {int}:
-            # kernels rely on unbounded Python int arithmetic
-            ints = arr.tolist()
-            # the int64 conversion truncates 1.5 to 1; integral 2.0, bools and numpy ints pass
-            bad = next((i for i, (v, w) in enumerate(zip(vt, ints)) if v != w), None)
+            # the int64 conversion truncates 1.5 to 1 (NaN it rejects above), so a
+            # value that is not integral is found by comparing; 2.0, bools and numpy ints pass
+            bad = next((i for i, (v, w) in enumerate(zip(vt, arr.tolist())) if v != w), None)
             if bad is not None:
                 raise ValueError(f"value at index {bad} is not an integer: {vt[bad]!r}")
-            vt = tuple(ints)
-        return _adopt(arr, vt)
+        return _adopt(arr)
 
     # Kept by name for callers that hold an int64 array; validation is identical.
     from_sorted_array = from_values
@@ -127,30 +125,15 @@ class SortedDataset:
         stream.write("".join(f"{v}\n" for v in self.array.tolist()))
 
 
-class _ValuesOnFirstRead(SortedDataset):
-    """A dataset made from an int64 array, until `values` is first read. The base
-    class's `values` is a plain slot: a property or __getattr__ would slow every read."""
-
-    __slots__ = ()
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        values = tuple(self.array.tolist())
-        object.__setattr__(self, "__class__", SortedDataset)
-        object.__setattr__(self, "values", values)
-        return values
-
-
-def _adopt(arr: np.ndarray, values: tuple[int, ...] | None = None) -> SortedDataset:
-    """Finish a dataset from an int64 array that nothing else holds (and from
-    `values`, its Python ints, when the caller has them): check the order and
-    make the array read-only. Every dataset is made here; none is fingerprinted
-    until its `id` is first read."""
+def _adopt(arr: np.ndarray) -> SortedDataset:
+    """Finish a dataset from an int64 array that nothing else holds: check the
+    order and make the array read-only. Every dataset is made here; none is
+    fingerprinted until its `id` is first read."""
     descents = (arr[1:] < arr[:-1]).nonzero()[0]
     if len(descents):
         raise NotSortedError(int(descents[0]) + 1)
     arr.setflags(write=False)
-    return (SortedDataset if values is not None else _ValuesOnFirstRead)(arr, values)
+    return SortedDataset(arr)
 
 
 _CANONICAL_BYTES = b"0123456789-\n"
@@ -225,9 +208,9 @@ def load_dataset(stream: IO[str]) -> SortedDataset:
     lines ignored. Range and order are verified, never assumed.
 
     Canonical text, as `dump` writes it, is parsed in one numpy call into an
-    int64 array, and `values` is built on first read. Any other text, and a
-    stream that cannot be rewound, goes through the line loop below, so every
-    accepted value and every error are the loop's."""
+    int64 array. Any other text, and a stream that cannot be rewound, goes
+    through the line loop below, so every accepted value and every error are
+    the loop's."""
     arr = _read_canonical(stream)
     if arr is not None:
         return _adopt(arr)
@@ -241,5 +224,4 @@ def load_dataset(stream: IO[str]) -> SortedDataset:
         except ValueError:
             if raw.strip():
                 raise ParseError(line_no, raw.rstrip("\r\n")) from None
-    values = tuple(values)  # frees the list before the dataset's array is built
     return SortedDataset.from_values(values)

@@ -15,3 +15,18 @@ def fingerprint_calls(monkeypatch):
 
     monkeypatch.setattr(dataset_mod, "fingerprint", counting)
     return calls
+
+
+@pytest.fixture
+def canonical_reads(monkeypatch):
+    """What each dataset._read_canonical call returns from now on: the array a
+    one-pass read parsed, or None when the text goes to the line loop."""
+    reads = []
+    read_canonical = dataset_mod._read_canonical
+
+    def recording(stream):
+        reads.append(read_canonical(stream))
+        return reads[-1]
+
+    monkeypatch.setattr(dataset_mod, "_read_canonical", recording)
+    return reads

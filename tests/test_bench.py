@@ -294,25 +294,6 @@ class TestRunSuite:
         rb, ri = run_suite(cfg)
         assert ri.mean_probes < rb.mean_probes
 
-    @pytest.mark.parametrize("mode", ["members", "mixed", "repeated"])
-    def test_generated_datasets_never_build_values(self, monkeypatch, mode):
-        """The suite reads keys from ds.array alone; its tuple of Python ints
-        is never built."""
-        made = []
-
-        def recording_generate(spec):
-            made.append(generate(spec))
-            return made[-1]
-
-        monkeypatch.setattr(bench, "generate", recording_generate)
-        cfg = SuiteConfig(distributions=("uniform", "exponential"), sizes=(300, 4096),
-                          queries=200, query_mode=mode, repeat_fraction=0.5, seed=5)
-        assert len(run_suite(cfg)) == 16
-        assert len(made) == 4
-        for ds in made:
-            with pytest.raises(AttributeError):
-                SortedDataset.values.__get__(ds)
-
     def test_adaptive_row_is_the_engines_choice(self, monkeypatch):
         """run_trial picks the adaptive kernel without an engine; on every cell
         of the default suite its row matches the row of the kernel that

@@ -3,6 +3,7 @@ import io
 import pickle
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,7 +25,7 @@ from adasearch import (
 def test_load_paper_listing_values():
     ds = load_dataset(io.StringIO("2\n3\n4\n10\n40"))
     assert len(ds) == 5
-    assert ds.values == (2, 3, 4, 10, 40)
+    assert tuple(ds.values) == (2, 3, 4, 10, 40)
 
 
 def test_load_empty_stream():
@@ -61,12 +62,12 @@ def test_load_rejects_what_int_accepts_beyond_the_format(literal):
 
 def test_load_tolerates_crlf_and_blank_lines():
     ds = load_dataset(io.StringIO("1\r\n\n  \n2\r\n3\n"))
-    assert ds.values == (1, 2, 3)
+    assert tuple(ds.values) == (1, 2, 3)
 
 
 def test_duplicates_permitted():
     ds = load_dataset(io.StringIO("1\n1\n2"))
-    assert ds.values == (1, 1, 2)
+    assert tuple(ds.values) == (1, 1, 2)
 
 
 def test_fingerprint_deterministic_and_content_sensitive():
@@ -109,13 +110,9 @@ def test_immutability():
         ds.values = (9,)
 
 
-def values_built(ds):
-    """Whether ds.values is set, read without building it."""
-    try:
-        SortedDataset.values.__get__(ds)
-    except AttributeError:
-        return False
-    return True
+def loaded_in_one_pass(ds, read):
+    """Whether ds holds, as its own array, what a one-pass read returned."""
+    return read is not None and ds.array is read
 
 
 def fingerprinted(ds):
@@ -127,7 +124,7 @@ def fingerprinted(ds):
     return True
 
 
-def test_no_constructor_fingerprints(fingerprint_calls):
+def test_no_constructor_fingerprints(fingerprint_calls, canonical_reads):
     made = {
         "generate": generate(DistributionSpec("uniform", 500, 3)),
         "load, one pass": load_dataset(io.StringIO("-5\n0\n0\n17\n")),
@@ -136,7 +133,8 @@ def test_no_constructor_fingerprints(fingerprint_calls):
         "from_values, array": SortedDataset.from_values(np.array([1, 2, 2], dtype=np.int64)),
         "from_sorted_array": SortedDataset.from_sorted_array(np.array([4, 5], dtype=np.int64)),
     }
-    assert not values_built(made["load, one pass"]) and values_built(made["load, line loop"])
+    assert len(canonical_reads) == 2 and canonical_reads[1] is None
+    assert loaded_in_one_pass(made["load, one pass"], canonical_reads[0])
     assert fingerprint_calls == []
     hashed = SortedDataset.from_values([7, 8, 9])
     hashed.id
@@ -172,8 +170,8 @@ def test_first_use_fingerprints_once(fingerprint_calls, use):
 def test_array_is_read_only_and_detached_from_its_source():
     src = np.array([3, 5, 5, 9], dtype=np.int64)
     ds = SortedDataset.from_values(src)
-    src[0] = 100  # before values is first read
-    assert ds.values == (3, 5, 5, 9)
+    src[0] = 100
+    assert tuple(ds.values) == (3, 5, 5, 9)
     assert ds.id == SortedDataset.from_values([3, 5, 5, 9]).id
     for d in (ds, SortedDataset.from_values([3, 5]), load_dataset(io.StringIO("3\n5\n"))):
         assert d.array.dtype == np.int64
@@ -182,23 +180,6 @@ def test_array_is_read_only_and_detached_from_its_source():
             d.array[0] = 7
     with pytest.raises(AttributeError):
         ds.array = src
-
-
-def test_values_built_on_first_read_from_an_array():
-    arr = np.array([-(2**63), -1, 0, 0, 2**63 - 1], dtype=np.int64)
-    ds = SortedDataset.from_sorted_array(arr)
-    assert not values_built(ds)
-    assert len(ds) == 5 and repr(ds).startswith("SortedDataset(len=5,")
-    assert not values_built(ds)
-    values = ds.values
-    assert values == tuple(arr.tolist())
-    assert {type(v) for v in values} == {int}
-    assert values_built(ds) and ds.values is values
-    assert type(ds) is SortedDataset
-    # Python ints are kept as given, not rebuilt from the array
-    assert values_built(SortedDataset.from_values([1, 2]))
-    with pytest.raises(AttributeError):
-        ds.missing
 
 
 def test_from_sorted_array_matches_from_values():
@@ -224,7 +205,7 @@ def test_infinite_values_overflow(values, index):
 
 def test_integral_non_int_values_become_ints():
     ds = SortedDataset.from_values([True, 2.0, np.int64(3), 4])
-    assert ds.values == (1, 2, 3, 4)
+    assert tuple(ds.values) == (1, 2, 3, 4)
     assert {type(v) for v in ds.values} == {int}
     assert ds.id == SortedDataset.from_values([1, 2, 3, 4]).id
 
@@ -254,7 +235,7 @@ def test_int64_extremes_accepted_by_every_constructor():
     extremes = [-(2**63), 2**63 - 1]
     a = SortedDataset.from_values(extremes)
     b = SortedDataset.from_sorted_array(np.array(extremes, dtype=np.int64))
-    assert a.values == b.values == tuple(extremes)
+    assert tuple(a.values) == tuple(b.values) == tuple(extremes)
     assert a.id == b.id
 
 
@@ -362,7 +343,7 @@ def test_load_matches_the_line_loop(text):
     assert load_outcome(load_dataset, lambda: io.StringIO(text)) == expected
 
 
-def test_canonical_text_is_parsed_in_one_pass(tmp_path):
+def test_canonical_text_is_parsed_in_one_pass(tmp_path, canonical_reads):
     ds = generate(DistributionSpec("uniform", 2000, 5, {"lo": -(10**18) + 1, "hi": 10**18 - 1}))
     path = tmp_path / "keys.txt"
     with open(path, "w", encoding="utf-8") as f:
@@ -370,15 +351,16 @@ def test_canonical_text_is_parsed_in_one_pass(tmp_path):
     with open(path, encoding="utf-8") as f:
         loaded = load_dataset(f)
         assert f.read() == ""  # left at the end, as the loop leaves it
-    assert not values_built(loaded)
+    assert loaded_in_one_pass(loaded, canonical_reads[-1])
     assert loaded.id == ds.id and loaded.values == ds.values
-    assert not values_built(load_dataset(io.StringIO("-5\n0\n0\n17\n")))
+    assert loaded_in_one_pass(load_dataset(io.StringIO("-5\n0\n0\n17\n")), canonical_reads[-1])
     # CRLF, translated to LF by a file opened in the default newline mode
     path.write_bytes(b"-3\r\n4\r\n")
     with open(path, encoding="utf-8") as f:
-        assert not values_built(load_dataset(f))
+        assert loaded_in_one_pass(load_dataset(f), canonical_reads[-1])
     # a 19-digit line is left to the loop even when it is in range
-    assert values_built(load_dataset(io.StringIO(f"{2**63 - 1}\n")))
+    assert tuple(load_dataset(io.StringIO(f"{2**63 - 1}\n")).values) == (2**63 - 1,)
+    assert canonical_reads[-1] is None and len(canonical_reads) == 4
 
 
 def test_streams_the_one_pass_read_must_not_misread(tmp_path):
@@ -401,21 +383,20 @@ def test_streams_the_one_pass_read_must_not_misread(tmp_path):
         next(f)
         return f
     same_as_loop(after_first_line)
-    assert load_dataset(iter(["1\n", "2\n"])).values == (1, 2)
+    assert tuple(load_dataset(iter(["1\n", "2\n"])).values) == (1, 2)
 
 
 def dataset_forms():
     yield SortedDataset.from_values([-(2**63), 0, 0, 2**63 - 1])
     yield SortedDataset.from_values(np.array([3, 5, 5, 9], dtype=np.int64))
-    read = SortedDataset.from_values(np.array([3, 5, 5, 9], dtype=np.int64))
-    read.values
-    yield read
     yield load_dataset(io.StringIO("-5\n0\n0\n17\n"))
     yield SortedDataset.from_values([])
 
 
-@pytest.mark.parametrize("round_trip", [lambda d: pickle.loads(pickle.dumps(d)), copy.copy, copy.deepcopy],
-                         ids=["pickle", "copy", "deepcopy"])
+ROUND_TRIPS = {"pickle": lambda d: pickle.loads(pickle.dumps(d)), "copy": copy.copy, "deepcopy": copy.deepcopy}
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
 def test_pickle_and_copy_round_trip(round_trip):
     for ds in dataset_forms():
         again = round_trip(ds)
@@ -425,14 +406,76 @@ def test_pickle_and_copy_round_trip(round_trip):
         assert again.array.dtype == np.int64 and not again.array.flags.writeable
 
 
-def test_loads_in_threads_leave_the_warning_filters_alone():
+def make_dataset(how, canonical_reads):
+    """A dataset made the named way, and the caller's source it was made from
+    (None when the caller holds nothing it could change)."""
+    if how == "from_values, ints":
+        src = [-(2**63), 0, 0, 2**63 - 1]
+        return SortedDataset.from_values(src), src
+    if how == "from_values, integral non-ints":
+        src = [True, 2.0, np.int64(3), 4]
+        return SortedDataset.from_values(src), src
+    if how == "load, one pass":
+        ds = load_dataset(io.StringIO("-5\n0\n0\n17\n"))
+        assert loaded_in_one_pass(ds, canonical_reads[-1])
+        return ds, None
+    if how == "load, line loop":
+        ds = load_dataset(io.StringIO("-5\r\n0\n\n17"))
+        assert canonical_reads[-1] is None
+        return ds, None
+    if how == "generate":
+        return generate(DistributionSpec("uniform", 500, 3)), None
+    src = np.array([-(2**63), -1, 0, 0, 2**63 - 1], dtype=np.int64)
+    ds = SortedDataset.from_values(src)
+    if how == "from_values, int64 array":
+        return ds, src
+    again = ROUND_TRIPS[how](ds)
+    assert not np.shares_memory(again.array, ds.array)
+    return again, None
+
+
+@pytest.mark.parametrize("how", ["from_values, ints", "from_values, integral non-ints",
+                                 "from_values, int64 array", "load, one pass", "load, line loop",
+                                 "generate", *ROUND_TRIPS])
+def test_values_is_a_read_only_view_of_the_array(how, canonical_reads):
+    """No dataset holds its keys as Python ints: `values` is a read-only
+    memoryview of its own array, whose elements read as ints."""
+    ds, source = make_dataset(how, canonical_reads)
+    assert type(ds) is SortedDataset and type(ds.values) is memoryview
+    assert ds.values.obj is ds.array and ds.values.readonly
+    with pytest.raises(TypeError):
+        ds.values[0] = 0
+    keys = ds.array.tolist()
+    assert all(type(v) is int for v in ds.values) and list(ds.values) == keys
+    if source is not None:
+        source[0] = 7
+    assert ds.values.tolist() == ds.array.tolist() == keys
+
+
+def test_first_search_after_a_load_copies_no_keys():
+    """The scalar kernels read the keys in place: the first query after a load
+    allocates its own result and nothing the size of the dataset."""
+    buf = io.StringIO()
+    generate(DistributionSpec("uniform", 2**16, 11)).dump(buf)
+    engine = SearchEngine()
+    reg = engine.register(load_dataset(io.StringIO(buf.getvalue())))
+    tracemalloc.start()
+    try:
+        engine.search(reg, 12345)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_loads_in_threads_leave_the_warning_filters_alone(canonical_reads):
     text = "".join(f"{i}\n" for i in range(20000))
     before = list(warnings.filters)
-    one_pass = []
+    loaded = []
 
     def load_many():
         for _ in range(20):
-            one_pass.append(not values_built(load_dataset(io.StringIO(text))))
+            loaded.append(load_dataset(io.StringIO(text)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -445,5 +488,6 @@ def test_loads_in_threads_leave_the_warning_filters_alone():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert one_pass == [True] * 80
+    assert len(loaded) == len(canonical_reads) == 80
+    assert {id(ds.array) for ds in loaded} == {id(a) for a in canonical_reads if a is not None}
     assert warnings.filters == before
