@@ -1,4 +1,4 @@
-"""Bounded LRU store of search outcomes keyed by (dataset fingerprint, target)."""
+"""Bounded LRU store of the engine's results keyed by (dataset fingerprint, target)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from collections import OrderedDict
 from typing import NamedTuple, Optional
 
 from .dataset import DatasetId
-from .search import SearchOutcome
 
 
 class CacheKey(NamedTuple):
@@ -32,8 +31,8 @@ class CacheStats(NamedTuple):
 
 class LruCache:
     """Associative store bounded to `capacity` entries, evicting the least
-    recently used key. Not-found outcomes are cached like any other result.
-    Callers must serialize access; no internal locking."""
+    recently used key. It stores any value but None, which `get` returns for
+    a miss. Callers must serialize access; no internal locking."""
 
     __slots__ = ("capacity", "_entries", "hits", "misses", "evictions")
 
@@ -41,7 +40,7 @@ class LruCache:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._entries: OrderedDict[CacheKey, SearchOutcome] = OrderedDict()
+        self._entries: OrderedDict[CacheKey, object] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -52,26 +51,26 @@ class LruCache:
     def __contains__(self, key: CacheKey) -> bool:
         return key in self._entries
 
-    def get(self, key: CacheKey) -> Optional[SearchOutcome]:
+    def get(self, key: CacheKey) -> Optional[object]:
         entries = self._entries
-        outcome = entries.get(key)
-        if outcome is None:
+        value = entries.get(key)
+        if value is None:
             self.misses += 1
             return None
         entries.move_to_end(key)
         self.hits += 1
-        return outcome
+        return value
 
-    def put(self, key: CacheKey, outcome: SearchOutcome) -> None:
+    def put(self, key: CacheKey, value: object) -> None:
         entries = self._entries
         if key in entries:
-            entries[key] = outcome
+            entries[key] = value
             entries.move_to_end(key)
             return
         if len(entries) >= self.capacity:
             entries.popitem(last=False)
             self.evictions += 1
-        entries[key] = outcome
+        entries[key] = value
 
     def stats(self) -> CacheStats:
         return CacheStats(self.hits, self.misses, self.evictions,

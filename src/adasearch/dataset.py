@@ -49,10 +49,11 @@ def fingerprint(values: Sequence[int] | np.ndarray) -> DatasetId:
 
 class SortedDataset:
     """A nondecreasing sequence of 64-bit signed integers, held as a read-only
-    int64 `array`. `values` is a read-only memoryview of that array, which the
-    scalar kernels index: each element reads as a Python int. Its content
-    fingerprint, `id`, is computed on first use (register, ==, hash, repr) and
-    then kept. Immutable after construction."""
+    int64 `array`, a view that cannot be made writable. `values` is a
+    read-only memoryview of that array, which the scalar kernels index: each
+    element reads as a Python int. Its content fingerprint, `id`, is computed
+    on first use (register, ==, hash, repr) and then kept. Immutable after
+    construction."""
 
     __slots__ = ("array", "values", "_id")
 
@@ -127,13 +128,14 @@ class SortedDataset:
 
 def _adopt(arr: np.ndarray) -> SortedDataset:
     """Finish a dataset from an int64 array that nothing else holds: check the
-    order and make the array read-only. Every dataset is made here; none is
-    fingerprinted until its `id` is first read."""
+    order, make the array read-only and keep a view of it, which refuses
+    setflags(write=True) as the array itself would not. Every dataset is made
+    here; none is fingerprinted until its `id` is first read."""
     descents = (arr[1:] < arr[:-1]).nonzero()[0]
     if len(descents):
         raise NotSortedError(int(descents[0]) + 1)
     arr.setflags(write=False)
-    return SortedDataset(arr)
+    return SortedDataset(arr.view())
 
 
 _CANONICAL_BYTES = b"0123456789-\n"

@@ -67,21 +67,24 @@ class SearchEngine:
         return reg
 
     def search(self, reg: RegisteredDataset, target: int) -> QueryResult:
-        """Cache first; on a miss, run the registered kernel and store the
-        outcome, including not-found outcomes. A float target raises
-        TypeError, cached or not."""
+        """Cache first; on a miss, run the registered kernel. A miss builds
+        both results its outcome will ever have: it returns
+        QueryResult(outcome, False, algorithm) and caches
+        QueryResult(outcome, True, "cache"), not-found outcomes included, so
+        a hit returns the stored object and builds nothing. A float target
+        raises TypeError, cached or not."""
         target = operator.index(target)
         # A plain tuple equals and hashes like CacheKey(id, target), so it is
-        # the same cache entry; the key and QueryResult skip NamedTuple's
-        # Python-level __new__, a large share of a cache hit's cost.
+        # the same cache entry; the key and the results skip NamedTuple's
+        # Python-level __new__, a large share of a query's cost.
         key = (reg.id, target)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return tuple.__new__(QueryResult, (cached, True, CACHE))
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
         algorithm = reg.choice.algorithm
         outcome = KERNELS[algorithm](reg.dataset, target)
         self.kernel_probes += outcome.trace.probes
-        self._cache.put(key, outcome)
+        self._cache.put(key, tuple.__new__(QueryResult, (outcome, True, CACHE)))
         return tuple.__new__(QueryResult, (outcome, False, algorithm))
 
     def report(self) -> EngineReport:

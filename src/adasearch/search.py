@@ -1,12 +1,13 @@
 """Instrumented search kernels: binary, interpolation, and linear.
 
-Each kernel returns a SearchOutcome carrying a probe-level trace. A probe is
-one read of a dataset element compared against the target; the interpolation
-loop's range-guard reads of the endpoints are not probes. After G =
-n.bit_length() probes, interpolation search bisects (the guard), so it makes at
-most 2G = 2(floor(log2 n) + 1) probes. Every kernel takes its target through
-operator.index, so a float raises TypeError. search_batch gives the kernels'
-indices and probe counts for a whole vector of targets.
+Each kernel returns one SearchOutcome carrying a probe-level trace, both built
+once, at the kernel's single exit. A probe is one read of a dataset element
+compared against the target; the interpolation loop's reads of its window's
+endpoints are not probes. After G = n.bit_length() probes, interpolation
+search bisects (the guard), so it makes at most 2G = 2(floor(log2 n) + 1)
+probes. Every kernel takes its target through operator.index, so a float
+raises TypeError. search_batch gives the kernels' indices and probe counts for
+a whole vector of targets.
 """
 
 from __future__ import annotations
@@ -38,14 +39,10 @@ class SearchOutcome(NamedTuple):
         return self.index is not None
 
 
+# The kernels build their records through tuple.__new__: the same records
+# without the Python-level __new__ that NamedTuple generates, a large share of
+# a call on small arrays.
 _new = tuple.__new__
-
-
-def _outcome(index: Optional[int], visited: list[int], algorithm: str) -> SearchOutcome:
-    """SearchOutcome(index, ProbeTrace(len(visited), tuple(visited), algorithm)),
-    built through tuple.__new__: the same records without the Python-level
-    __new__ that NamedTuple generates, a large share of a call on small arrays."""
-    return _new(SearchOutcome, (index, _new(ProbeTrace, (len(visited), tuple(visited), algorithm))))
 
 
 def binary_search(ds: SortedDataset, target: int) -> SearchOutcome:
@@ -54,17 +51,19 @@ def binary_search(ds: SortedDataset, target: int) -> SearchOutcome:
     values = ds.values
     lo, hi = 0, len(values) - 1
     visited: list[int] = []
+    index = None
     while lo <= hi:
         mid = (lo + hi) // 2
         v = values[mid]
         visited.append(mid)
         if v == target:
-            return _outcome(mid, visited, BINARY)
+            index = mid
+            break
         if v < target:
             lo = mid + 1
         else:
             hi = mid - 1
-    return _outcome(None, visited, BINARY)
+    return _new(SearchOutcome, (index, _new(ProbeTrace, (len(visited), tuple(visited), BINARY))))
 
 
 def interpolation_search(ds: SortedDataset, target: int) -> SearchOutcome:
@@ -83,25 +82,29 @@ def interpolation_search(ds: SortedDataset, target: int) -> SearchOutcome:
     lo, hi = 0, len(values) - 1
     guard = len(values).bit_length()
     visited: list[int] = []
-    while lo <= hi:
-        vl = values[lo]
-        vh = values[hi]
-        if not vl <= target <= vh:
-            break
-        if vl == vh:
+    index = None
+    # vl, vh are values[lo], values[hi] (no keys: an empty range). While the
+    # target lies between them, a probe below it is left of hi and one above
+    # it right of lo: the window never empties, and only the moved end is read.
+    vl, vh = (values[lo], values[hi]) if values else (1, 0)
+    while vl <= target <= vh:
+        if vl == vh:  # so vl == target
             visited.append(lo)
-            idx = lo if vl == target else None
-            return _outcome(idx, visited, INTERPOLATION)
+            index = lo
+            break
         pos = lo + (hi - lo) * (target - vl) // (vh - vl) if len(visited) < guard else (lo + hi) // 2
         v = values[pos]
         visited.append(pos)
         if v == target:
-            return _outcome(pos, visited, INTERPOLATION)
+            index = pos
+            break
         if v < target:
             lo = pos + 1
+            vl = values[lo]
         else:
             hi = pos - 1
-    return _outcome(None, visited, INTERPOLATION)
+            vh = values[hi]
+    return _new(SearchOutcome, (index, _new(ProbeTrace, (len(visited), tuple(visited), INTERPOLATION))))
 
 
 def linear_search(ds: SortedDataset, target: int) -> SearchOutcome:
@@ -109,11 +112,13 @@ def linear_search(ds: SortedDataset, target: int) -> SearchOutcome:
     which is what makes it the correctness oracle for the other kernels."""
     target = operator.index(target)
     visited: list[int] = []
+    index = None
     for i, v in enumerate(ds.values):
         visited.append(i)
         if v == target:
-            return _outcome(i, visited, LINEAR)
-    return _outcome(None, visited, LINEAR)
+            index = i
+            break
+    return _new(SearchOutcome, (index, _new(ProbeTrace, (len(visited), tuple(visited), LINEAR))))
 
 
 KERNELS = {

@@ -112,7 +112,7 @@ def test_immutability():
 
 def loaded_in_one_pass(ds, read):
     """Whether ds holds, as its own array, what a one-pass read returned."""
-    return read is not None and ds.array is read
+    return read is not None and ds.array.base is read
 
 
 def fingerprinted(ds):
@@ -434,9 +434,11 @@ def make_dataset(how, canonical_reads):
     return again, None
 
 
-@pytest.mark.parametrize("how", ["from_values, ints", "from_values, integral non-ints",
-                                 "from_values, int64 array", "load, one pass", "load, line loop",
-                                 "generate", *ROUND_TRIPS])
+CONSTRUCTIONS = ["from_values, ints", "from_values, integral non-ints", "from_values, int64 array",
+                 "load, one pass", "load, line loop", "generate", *ROUND_TRIPS]
+
+
+@pytest.mark.parametrize("how", CONSTRUCTIONS)
 def test_values_is_a_read_only_view_of_the_array(how, canonical_reads):
     """No dataset holds its keys as Python ints: `values` is a read-only
     memoryview of its own array, whose elements read as ints."""
@@ -450,6 +452,29 @@ def test_values_is_a_read_only_view_of_the_array(how, canonical_reads):
     if source is not None:
         source[0] = 7
     assert ds.values.tolist() == ds.array.tolist() == keys
+
+
+@pytest.mark.parametrize("how", CONSTRUCTIONS)
+def test_keys_cannot_be_made_writable(how, canonical_reads):
+    """The array is a view of a read-only array, so it refuses to become
+    writable, and the keys under a fingerprint or a cached answer stay put."""
+    ds, _ = make_dataset(how, canonical_reads)
+    with pytest.raises(ValueError):
+        ds.array.setflags(write=True)
+    assert not ds.array.flags.writeable and ds.values.readonly
+
+
+def test_keys_under_a_cached_answer_cannot_change():
+    ds = SortedDataset.from_values([1, 5, 9])
+    engine = SearchEngine()
+    reg = engine.register(ds)
+    assert engine.search(reg, 5).outcome.index == 1
+    with pytest.raises(ValueError):
+        ds.array.setflags(write=True)
+    with pytest.raises(ValueError):
+        ds.array[1] = 7
+    assert list(ds.values) == [1, 5, 9] and ds.id == fingerprint(np.array([1, 5, 9]))
+    assert engine.search(reg, 5).outcome.index == 1
 
 
 def test_first_search_after_a_load_copies_no_keys():
@@ -489,5 +514,5 @@ def test_loads_in_threads_leave_the_warning_filters_alone(canonical_reads):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(loaded) == len(canonical_reads) == 80
-    assert {id(ds.array) for ds in loaded} == {id(a) for a in canonical_reads if a is not None}
+    assert {id(ds.array.base) for ds in loaded} == {id(a) for a in canonical_reads if a is not None}
     assert warnings.filters == before

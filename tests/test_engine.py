@@ -6,6 +6,7 @@ from adasearch import (
     BINARY,
     EngineConfig,
     INTERPOLATION,
+    QueryResult,
     SearchEngine,
     SortedDataset,
     linear_search,
@@ -70,6 +71,29 @@ class TestAdaptiveSearch:
         assert second.cache_hit
         assert second.algorithm_used == CACHE
         assert second.outcome.index == first.outcome.index
+
+    def test_hit_returns_the_result_its_miss_stored(self, odd_progression):
+        e = SearchEngine()
+        reg = e.register(odd_progression)
+        for target in (13, 8):  # found and not found
+            miss = e.search(reg, target)
+            hit = e.search(reg, target)
+            assert e.search(reg, target) is hit
+            assert hit == QueryResult(miss.outcome, True, CACHE)
+            assert hit.outcome is miss.outcome
+
+    def test_evicted_target_misses_again(self, odd_progression):
+        e = SearchEngine(EngineConfig(cache_capacity=1))
+        reg = e.register(odd_progression)
+        first = e.search(reg, 13)
+        other = e.search(reg, 8)  # evicts 13
+        again = e.search(reg, 13)
+        assert again == first == QueryResult(first.outcome, False, BINARY)
+        hit = e.search(reg, 13)
+        assert hit.cache_hit and hit.outcome is again.outcome
+        cache = e.report().cache
+        assert (cache.hits, cache.misses, cache.evictions, cache.size) == (1, 3, 2, 1)
+        assert e.kernel_probes == 2 * first.outcome.trace.probes + other.outcome.trace.probes
 
     def test_large_uniform_uses_interpolation(self):
         e = SearchEngine()
