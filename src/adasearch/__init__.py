@@ -1,10 +1,9 @@
 """Adaptive sorted-key lookup: distribution-aware kernel selection with an
 LRU result cache, plus a reproducible benchmark harness."""
 
-from .cache import CacheKey, CacheStats, LruCache
+from .cache import CacheStats, LruCache
 from .dataset import (
     DatasetError,
-    DatasetId,
     NotSortedError,
     ParseError,
     SortedDataset,
@@ -34,10 +33,8 @@ from .selector import (
 __all__ = [
     "AlgorithmChoice",
     "BINARY",
-    "CacheKey",
     "CacheStats",
     "DatasetError",
-    "DatasetId",
     "DistributionSpec",
     "DistributionStats",
     "EngineConfig",

@@ -1,19 +1,11 @@
-"""Bounded LRU store of the engine's results keyed by (dataset fingerprint, target)."""
+"""Bounded LRU store of the engine's results, which keys them by
+(registration, target)."""
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Hashable
 from typing import NamedTuple, Optional
-
-from .dataset import DatasetId
-
-
-class CacheKey(NamedTuple):
-    """A plain (dataset, target) tuple equals and hashes like CacheKey, so
-    either form names the same LruCache entry."""
-
-    dataset: DatasetId
-    target: int
 
 
 class CacheStats(NamedTuple):
@@ -40,7 +32,7 @@ class LruCache:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._entries: OrderedDict[CacheKey, object] = OrderedDict()
+        self._entries: OrderedDict[Hashable, object] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -48,10 +40,10 @@ class LruCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: CacheKey) -> bool:
+    def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
 
-    def get(self, key: CacheKey) -> Optional[object]:
+    def get(self, key: Hashable) -> Optional[object]:
         entries = self._entries
         value = entries.get(key)
         if value is None:
@@ -61,7 +53,7 @@ class LruCache:
         self.hits += 1
         return value
 
-    def put(self, key: CacheKey, value: object) -> None:
+    def put(self, key: Hashable, value: object) -> None:
         entries = self._entries
         if key in entries:
             entries[key] = value
@@ -76,6 +68,6 @@ class LruCache:
         return CacheStats(self.hits, self.misses, self.evictions,
                           len(self._entries), self.capacity)
 
-    def keys_by_recency(self) -> list[CacheKey]:
+    def keys_by_recency(self) -> list[Hashable]:
         """Least- to most-recently used; exposed for model-equivalence tests."""
         return list(self._entries.keys())

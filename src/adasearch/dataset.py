@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import io
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -30,30 +30,22 @@ class NotSortedError(DatasetError):
         self.index = index
 
 
-class DatasetId(NamedTuple):
-    """Content fingerprint of a dataset; equal iff the value sequences are equal
-    (up to negligible digest collisions)."""
-
-    digest: bytes
-
-    def hex(self) -> str:
-        return self.digest.hex()
-
-
-def fingerprint(values: Sequence[int] | np.ndarray) -> DatasetId:
-    """128-bit blake2b digest over the little-endian int64 encoding of values,
-    hashed from the array's buffer without a bytes copy."""
+def fingerprint(values: Sequence[int] | np.ndarray) -> bytes:
+    """The 16-byte blake2b digest of the little-endian int64 encoding of
+    values, hashed from the array's buffer without a bytes copy. It names a
+    dataset in `id`, repr and SearchEngine.report(); no lookup uses it."""
     encoded = np.ascontiguousarray(values, dtype="<i8")
-    return DatasetId(hashlib.blake2b(encoded, digest_size=16).digest())
+    return hashlib.blake2b(encoded, digest_size=16).digest()
 
 
 class SortedDataset:
     """A nondecreasing sequence of 64-bit signed integers, held as a read-only
     int64 `array`, a view that cannot be made writable. `values` is a
     read-only memoryview of that array, which the scalar kernels index: each
-    element reads as a Python int. Its content fingerprint, `id`, is computed
-    on first use (register, ==, hash, repr) and then kept. Immutable after
-    construction."""
+    element reads as a Python int. Datasets are equal when their keys are;
+    the hash reads n and at most 64 evenly strided keys. The fingerprint,
+    `id`, is computed on its first read (repr, SearchEngine.report()) and
+    then kept. Immutable after construction."""
 
     __slots__ = ("array", "values", "_id")
 
@@ -67,7 +59,7 @@ class SortedDataset:
         object.__setattr__(self, "values", memoryview(array))
 
     @property
-    def id(self) -> DatasetId:
+    def id(self) -> bytes:
         try:
             return self._id
         except AttributeError:
@@ -81,10 +73,11 @@ class SortedDataset:
         return len(self.array)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SortedDataset) and self.id == other.id
+        return isinstance(other, SortedDataset) and np.array_equal(self.array, other.array)
 
     def __hash__(self) -> int:
-        return hash(self.id)
+        a = self.array
+        return hash((len(a), a[::-(-len(a) // 64) or 1].tobytes()))  # every key when n <= 64
 
     def __repr__(self) -> str:
         return f"SortedDataset(len={len(self.array)}, id={self.id.hex()[:12]})"

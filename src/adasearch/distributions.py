@@ -76,7 +76,7 @@ def generate(spec: DistributionSpec) -> SortedDataset:
         clusters = int(p.get("clusters", 10))
         spread = float(p.get("spread", 1000.0))
         lo, hi = _key_range(p, CLUSTERED)
-        if clusters < 1 or spread < 0:
+        if clusters < 1 or not spread >= 0:  # NaN fails every comparison
             raise InvalidSpec("clustered: need clusters >= 1, spread >= 0")
         centers = rng.integers(lo, hi, size=clusters, endpoint=True, dtype=np.int64)
         assignment = rng.integers(0, clusters, size=n)
@@ -88,13 +88,13 @@ def generate(spec: DistributionSpec) -> SortedDataset:
             raise InvalidSpec("clustered: keys leave the 64-bit range")
     elif spec.kind == EXPONENTIAL:
         scale = float(p.get("scale", 1e6))
-        if scale <= 0:
+        if not scale > 0:
             raise InvalidSpec("exponential: scale must be > 0")
         arr = _to_int64(rng.exponential(scale, size=n), EXPONENTIAL)
     else:  # ZIPF
         s = float(p.get("s", 1.2))
         universe = int(p.get("m", 10**6))
-        if s <= 0 or universe < 1:
+        if not s > 0 or universe < 1:
             raise InvalidSpec("zipf: need s > 0 and m >= 1")
         ranks = np.arange(1, universe + 1, dtype=np.float64)
         weights = ranks**-s

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .cache import CacheStats, LruCache
-from .dataset import DatasetId, SortedDataset
+from .dataset import SortedDataset
 from .search import KERNELS, SearchOutcome
 from .selector import AlgorithmChoice, DistributionStats, SelectorConfig, choose_algorithm, compute_stats
 
@@ -25,11 +25,14 @@ class EngineConfig:
             raise ValueError("cache_capacity must be >= 1")
 
 
-class RegisteredDataset(NamedTuple):
+@dataclass(frozen=True, slots=True, eq=False)
+class RegisteredDataset:
+    """A dataset as one engine analyzed it. It equals and hashes by identity,
+    in C, so (registration, target) is a cheap cache key."""
+
     dataset: SortedDataset
     stats: DistributionStats
     choice: AlgorithmChoice
-    id: DatasetId  # the dataset's fingerprint, read once here so no query reads a property
 
 
 class QueryResult(NamedTuple):
@@ -39,7 +42,7 @@ class QueryResult(NamedTuple):
 
 
 class EngineReport(NamedTuple):
-    choices: dict[DatasetId, AlgorithmChoice]
+    choices: dict[bytes, AlgorithmChoice]  # keyed by the dataset's fingerprint
     cache: CacheStats
     kernel_probes: int
 
@@ -52,18 +55,18 @@ class SearchEngine:
     def __init__(self, config: EngineConfig | None = None):
         self.config = config or EngineConfig()
         self._cache = LruCache(self.config.cache_capacity)
-        self._registry: dict[DatasetId, RegisteredDataset] = {}
+        self._registry: dict[SortedDataset, RegisteredDataset] = {}
         self.kernel_probes = 0  # total probes spent in kernels (misses only)
 
     def register(self, ds: SortedDataset) -> RegisteredDataset:
-        """Analyze ds once per engine; its fingerprint is computed here if nothing read it before."""
-        dataset_id = ds.id
-        reg = self._registry.get(dataset_id)
+        """Analyze ds once per engine: a dataset whose keys equal those of one
+        registered before (the same object, a copy, a reload) gets the first
+        registration. The keys are compared exactly, not by fingerprint."""
+        reg = self._registry.get(ds)
         if reg is None:
             stats = compute_stats(ds, self.config.selector)
-            choice = choose_algorithm(stats, self.config.selector)
-            reg = RegisteredDataset(ds, stats, choice, dataset_id)
-            self._registry[dataset_id] = reg
+            reg = RegisteredDataset(ds, stats, choose_algorithm(stats, self.config.selector))
+            self._registry[ds] = reg
         return reg
 
     def search(self, reg: RegisteredDataset, target: int) -> QueryResult:
@@ -71,25 +74,24 @@ class SearchEngine:
         both results its outcome will ever have: it returns
         QueryResult(outcome, False, algorithm) and caches
         QueryResult(outcome, True, "cache"), not-found outcomes included, so
-        a hit returns the stored object and builds nothing. A float target
-        raises TypeError, cached or not."""
+        a hit returns the stored object and builds nothing. Results are cached
+        per (registration, target). A float target raises TypeError, cached
+        or not."""
         target = operator.index(target)
-        # A plain tuple equals and hashes like CacheKey(id, target), so it is
-        # the same cache entry; the key and the results skip NamedTuple's
-        # Python-level __new__, a large share of a query's cost.
-        key = (reg.id, target)
+        key = (reg, target)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         algorithm = reg.choice.algorithm
         outcome = KERNELS[algorithm](reg.dataset, target)
         self.kernel_probes += outcome.trace.probes
+        # the results skip NamedTuple's Python-level __new__, a large share of a query's cost
         self._cache.put(key, tuple.__new__(QueryResult, (outcome, True, CACHE)))
         return tuple.__new__(QueryResult, (outcome, False, algorithm))
 
     def report(self) -> EngineReport:
         return EngineReport(
-            choices={did: reg.choice for did, reg in self._registry.items()},
+            choices={reg.dataset.id: reg.choice for reg in self._registry.values()},
             cache=self._cache.stats(),
             kernel_probes=self.kernel_probes,
         )

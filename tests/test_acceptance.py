@@ -31,7 +31,6 @@ from adasearch import (
     linear_search,
 )
 from adasearch.bench import ADAPTIVE, run_trial
-from adasearch.cache import CacheKey
 from adasearch.dataset import fingerprint
 from adasearch.search import KERNELS, ProbeTrace, SearchOutcome
 
@@ -168,7 +167,7 @@ def test_c5_cache_capacity_bound_and_model_equivalence():
             rng = random.Random(capacity)
             real = LruCache(capacity)
             model = _ReferenceLru(capacity)
-            universe = [CacheKey(did, t) for t in range(max(4, capacity * 2))]
+            universe = [(did, t) for t in range(max(4, capacity * 2))]
             for _ in range(10**5):
                 k = universe[rng.randrange(len(universe))]
                 if rng.random() < 0.5:

@@ -86,6 +86,9 @@ class TestGenerate:
         ("uniform", {"lo": -(2**63) - 1}),
         ("clustered", {"hi": 2**63}),
         ("clustered", {"lo": -(2**64), "hi": 0}),
+        ("zipf", {"s": float("nan")}),
+        ("exponential", {"scale": float("nan")}),
+        ("clustered", {"spread": float("nan")}),
     ])
     def test_invalid_params(self, kind, params):
         # parameters are checked at n = 0 too, not only once there are keys

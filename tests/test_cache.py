@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from adasearch import CacheKey, LruCache, ProbeTrace, SearchOutcome, fingerprint
+from adasearch import LruCache, ProbeTrace, SearchOutcome, fingerprint
 
 
 def key(t, ds_vals=(1, 2, 3)):
-    return CacheKey(fingerprint(ds_vals), t)
+    return (fingerprint(ds_vals), t)
 
 
 def outcome(i):
@@ -89,17 +89,6 @@ class TestLruCache:
         assert key(1, (1, 2)) != key(1, (1, 3))
         assert key(1) != key(2)
         assert key(1) == key(1)
-
-    def test_plain_tuple_is_the_same_entry(self):
-        did = fingerprint((1, 2, 3))
-        c = LruCache(4)
-        c.put(CacheKey(did, 1), outcome(0))
-        assert c.get((did, 1)) == outcome(0)
-        c.put((did, 1), outcome(None))
-        assert len(c) == 1
-        assert c.get(CacheKey(did, 1)) == outcome(None)
-        assert c.keys_by_recency() == [(did, 1)] == [CacheKey(did, 1)]
-        assert (c.hits, c.misses, c.evictions) == (2, 0, 0)
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):

@@ -101,7 +101,8 @@ def test_gen_overflowing_draws_are_data_error(tmp_path, capsys):
     out = tmp_path / "ds.txt"
     for flags in (("--kind", "exponential", "--scale", "1e30"),
                   ("--kind", "uniform", "--hi", str(2**64)),
-                  ("--kind", "clustered", "--lo", str(-(2**63) - 1))):
+                  ("--kind", "clustered", "--lo", str(-(2**63) - 1)),
+                  ("--kind", "zipf", "--zipf-s", "nan")):
         code, _, err = run(capsys, "gen", *flags, "--n", "20", "--seed", "1", "--out", str(out))
         assert code == 2, flags
         assert "data error" in err and err.count("\n") == 1

@@ -147,24 +147,31 @@ def test_no_constructor_fingerprints(fingerprint_calls, canonical_reads):
     assert len(fingerprint_calls) == 1 and fingerprint_calls[0] is hashed.array
 
 
-@pytest.mark.parametrize("use", [lambda ds, twin: SearchEngine().register(ds),
-                                 lambda ds, twin: ds == twin,
-                                 lambda ds, twin: hash(ds),
-                                 lambda ds, twin: repr(ds)],
-                         ids=["register", "eq", "hash", "repr"])
-def test_first_use_fingerprints_once(fingerprint_calls, use):
+def register_and_report(ds, twin):
+    engine = SearchEngine()
+    engine.register(ds)
+    return engine.report()
+
+
+@pytest.mark.parametrize("use,fingerprints", [(lambda ds, twin: SearchEngine().register(ds), 0),
+                                              (lambda ds, twin: ds == twin, 0),
+                                              (lambda ds, twin: hash(ds), 0),
+                                              (lambda ds, twin: repr(ds), 1),
+                                              (register_and_report, 1)],
+                         ids=["register", "eq", "hash", "repr", "report"])
+def test_first_use_fingerprints_once(fingerprint_calls, use, fingerprints):
+    # register, == and hash read the keys; only repr and report() name a dataset by its digest
     for make in (lambda: SortedDataset.from_values([3, 5, 5, 9]),
                  lambda: load_dataset(io.StringIO("3\n5\n5\n9\n"))):
         twin = make()
-        twin.id
         ds = make()
         fingerprint_calls.clear()
         use(ds, twin)
-        assert fingerprinted(ds)
-        assert len(fingerprint_calls) == 1 and fingerprint_calls[0] is ds.array
+        assert fingerprinted(ds) == bool(fingerprints)
+        assert len(fingerprint_calls) == fingerprints and all(a is ds.array for a in fingerprint_calls)
+        use(ds, twin), ds == twin, hash(ds), SearchEngine().register(ds)
+        assert len(fingerprint_calls) == fingerprints
         assert ds.id is ds.id and ds.id == fingerprint(ds.array)
-        use(ds, twin), ds == twin, hash(ds), repr(ds)
-        assert len(fingerprint_calls) == 1
 
 
 def test_array_is_read_only_and_detached_from_its_source():

@@ -1,5 +1,7 @@
+import pickle
 import random
 
+import numpy as np
 import pytest
 
 from adasearch import (
@@ -10,6 +12,7 @@ from adasearch import (
     SearchEngine,
     SortedDataset,
     linear_search,
+    load_dataset,
 )
 from adasearch.engine import CACHE
 from adasearch.selector import TOO_SMALL
@@ -36,22 +39,48 @@ class TestRegister:
         reg = e.register(SortedDataset.from_values(range(8)))
         assert reg.choice == (BINARY, TOO_SMALL)
 
-    def test_fingerprinted_once_for_a_register_and_its_queries(self, fingerprint_calls):
+    def test_fingerprinted_only_by_report(self, fingerprint_calls):
         ds = SortedDataset.from_values(range(0, 3000, 3))
         e = SearchEngine(EngineConfig(cache_capacity=64))
         reg = e.register(ds)
-        assert len(fingerprint_calls) == 1 and reg.id is ds.id
         hits = 0
         for t in random.Random(2).choices(range(-10, 3010), k=1000):
             hits += e.search(reg, t).cache_hit
-        assert 0 < hits < 1000 and e.report().cache.misses == 1000 - hits
         assert e.register(ds) is reg
+        assert fingerprint_calls == []
+        report = e.report()
+        assert 0 < hits < 1000 and report.cache.misses == 1000 - hits
+        assert len(fingerprint_calls) == 1 and report.choices == {ds.id: reg.choice}
+        e.report()
         assert len(fingerprint_calls) == 1
 
-    def test_reregistration_memoized(self):
+    def test_reregistration_memoized(self, tmp_path):
         e = SearchEngine()
-        ds = SortedDataset.from_values(range(100))
-        assert e.register(ds) is e.register(SortedDataset.from_values(range(100)))
+        ds = SortedDataset.from_values(range(0, 256, 2))
+        reg = e.register(ds)
+        path = tmp_path / "ds.txt"
+        with open(path, "w", encoding="utf-8") as f:
+            ds.dump(f)
+        with open(path, encoding="utf-8") as f:
+            reloaded = load_dataset(f)
+        larger = np.arange(-2, 258, 2, dtype=np.int64)
+        equal = {
+            "same object": ds,
+            "from_values": SortedDataset.from_values(range(0, 256, 2)),
+            "pickle": pickle.loads(pickle.dumps(ds)),
+            "slice": SortedDataset.from_values(larger[1:-1]),
+            "reload": reloaded,
+        }
+        for name, twin in equal.items():
+            assert e.register(twin) is reg, name
+        # same n and the same key at every index the hash's strided sample reads; one other key differs
+        keys = ds.array.copy()
+        keys[1] = 1
+        near = SortedDataset.from_values(keys)
+        assert hash(near) == hash(ds) and near != ds
+        near_reg = e.register(near)
+        assert near_reg is not reg and near_reg.dataset is near and e.register(near) is near_reg
+        assert len(e.report().choices) == 2
 
 
 class TestAdaptiveSearch:

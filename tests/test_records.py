@@ -15,7 +15,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from adasearch import (
-    CacheKey,
     QueryResult,
     SearchEngine,
     SortedDataset,
@@ -139,7 +138,7 @@ def test_engine_results_are_query_results():
         assert type(qr.outcome.trace) is ProbeTrace
     assert (miss.cache_hit, hit.cache_hit) == (False, True)
     assert hit.outcome == miss.outcome
-    assert engine._cache.keys_by_recency() == [CacheKey(ds.id, 7)]
+    assert engine._cache.keys_by_recency() == [(reg, 7)]
 
 
 @st.composite
