@@ -417,6 +417,16 @@ def test_golden_query_mode_suites(capsys, mode_args, digest):
     assert bench_csv_sha256(capsys, *SMALL_SUITE, *mode_args) == digest
 
 
+def test_golden_default_suite_every_format():
+    # with wall_time_ns zeroed nothing needs masking, the table's column widths included
+    records = [replace(r, wall_time_ns=0) for r in run_suite(SuiteConfig(seed=42))]
+    assert {fmt: sha256(emit_report(records, fmt)) for fmt in (TABLE, CSV, JSONL)} == {
+        TABLE: "60a770478c01d58a679216160246b36929a979c8703901bcee5bcd9fdabad84e",
+        CSV: "e08d553f628ff9351b90b813ce4d413d7f24cd5f6f262f0911b439157211f27d",
+        JSONL: "04586992e8644a2f1a4a0cf1399c9ce4ad9e64eda80a676f812f4e66c75986b2",
+    }
+
+
 GOLDEN_QUERIES = {
     "members": "1d59101d01c9918d11bd2cc99b037119387578d8680c05f1e464b10c3d152524",
     "mixed": "7b9e01891afcfb96680f30cf3b3dc6c3941bacf7a5911a99db030ecc5f900833",
