@@ -12,7 +12,7 @@ import json
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence, get_type_hints
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -67,7 +67,6 @@ class TrialRecord:
 # Every report format takes its columns, their order and types from TrialRecord.
 _FIELDS = tuple(f.name for f in fields(TrialRecord))
 _DECIMALS = {f.name: f.metadata["places"] for f in fields(TrialRecord) if "places" in f.metadata}
-_FIELD_TYPES = get_type_hints(TrialRecord)
 CSV_HEADER = ",".join(_FIELDS)
 
 
@@ -196,45 +195,24 @@ def _cell(name: str, value) -> str:
     return str(value)
 
 
-def _row_fields(r: TrialRecord) -> list[str]:
-    return [_cell(name, getattr(r, name)) for name in _FIELDS]
-
-
-def _parse_cell(name: str, text: str):
-    if name in _DECIMALS:
-        return None if text == "" else float(text)
-    return _FIELD_TYPES[name](text)
-
-
-def _typed_row(cells: list[str]) -> dict:
-    """Report cells as field -> value, so every format carries the same
-    rounded values."""
-    return {name: _parse_cell(name, cell) for name, cell in zip(_FIELDS, cells, strict=True)}
+def _json_value(name: str, value):
+    # rounded as its report cell is, so every format carries the same values
+    return value if value is None or name not in _DECIMALS else round(value, _DECIMALS[name])
 
 
 def emit_report(records: list[TrialRecord], fmt: str = TABLE) -> str:
+    if fmt == JSONL:
+        return "".join(json.dumps({name: _json_value(name, getattr(r, name)) for name in _FIELDS}) + "\n"
+                       for r in records)
+    rows = [[_cell(name, getattr(r, name)) for name in _FIELDS] for r in records]
     if fmt == CSV:
         lines = [CSV_HEADER]
-        lines += [",".join(_row_fields(r)) for r in records]
+        lines += [",".join(row) for row in rows]
         return "\n".join(lines) + "\n"
-    if fmt == JSONL:
-        return "".join(json.dumps(_typed_row(_row_fields(r))) + "\n" for r in records)
     if fmt == TABLE:
-        rows = [_row_fields(r) for r in records]
         widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
                   for i, h in enumerate(_FIELDS)]
         lines = ["  ".join(h.ljust(w) for h, w in zip(_FIELDS, widths)).rstrip()]
         lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows]
         return "\n".join(lines) + "\n"
     raise UnknownFormat(f"unknown report format: {fmt!r}")
-
-
-def parse_csv(text: str) -> list[TrialRecord]:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("missing or malformed csv header")
-    return [TrialRecord(**_typed_row(line.split(","))) for line in lines[1:]]
-
-
-def parse_jsonl(text: str) -> list[TrialRecord]:
-    return [TrialRecord(**json.loads(line)) for line in text.splitlines() if line]

@@ -55,14 +55,11 @@ class LruCache:
 
     def put(self, key: Hashable, value: object) -> None:
         entries = self._entries
-        if key in entries:
-            entries[key] = value
-            entries.move_to_end(key)
-            return
-        if len(entries) >= self.capacity:
+        entries[key] = value
+        entries.move_to_end(key)
+        if len(entries) > self.capacity:
             entries.popitem(last=False)
             self.evictions += 1
-        entries[key] = value
 
     def stats(self) -> CacheStats:
         return CacheStats(self.hits, self.misses, self.evictions,

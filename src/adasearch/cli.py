@@ -6,7 +6,7 @@ Subcommands:
     bench   run a benchmark suite and emit a report
 
 Exit codes: 0 success, 1 usage error, 2 data error (parse / not sorted /
-out of range), 3 internal invariant violation.
+out of range / too large to allocate), 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -120,13 +120,10 @@ def _cmd_gen(args) -> int:
 def _cmd_search(args) -> int:
     with open(args.dataset, "r", encoding="utf-8") as f:
         ds = load_dataset(f)
-    engine = SearchEngine(_engine_config(args))
-    reg = engine.register(ds)
-    if args.algorithm is None:
-        qr = engine.search(reg, args.target)
-        outcome, used = qr.outcome, qr.algorithm_used
-    else:  # a forced kernel runs once, without the cache
-        outcome, used = KERNELS[args.algorithm](ds, args.target), args.algorithm
+    reg = SearchEngine(_engine_config(args)).register(ds)
+    # one query cannot hit the cache, so the registered (or forced) kernel runs once
+    used = args.algorithm or reg.choice.algorithm
+    outcome = KERNELS[used](ds, args.target)
     print(f"found: {outcome.index is not None}")
     print(f"index: {outcome.index if outcome.index is not None else -1}")
     print(f"probes: {outcome.trace.probes}")
@@ -164,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_search(args)
         return _cmd_bench(args)
     # UnicodeDecodeError is a ValueError; an undecodable file is a data error
-    except (DatasetError, OverflowError, InvalidSpec, OSError, UnicodeDecodeError) as exc:
+    except (DatasetError, OverflowError, InvalidSpec, OSError, UnicodeDecodeError, MemoryError) as exc:
         print(f"adasearch: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

@@ -1,4 +1,7 @@
+import csv
 import hashlib
+import io
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -30,8 +33,6 @@ from adasearch.bench import (
     UnknownFormat,
     emit_report,
     first_occurrence,
-    parse_csv,
-    parse_jsonl,
     run_suite,
     run_trial,
 )
@@ -100,6 +101,10 @@ class TestGenerate:
         with pytest.raises(InvalidSpec):
             DistributionSpec("gaussian", 10, 1)
 
+    def test_negative_n(self):
+        with pytest.raises(InvalidSpec):
+            DistributionSpec("uniform", -1, 1)
+
 
 class TestGenerateQueries:
     def test_members_are_members(self):
@@ -129,6 +134,21 @@ class TestGenerateQueries:
         ds = generate(DistributionSpec("uniform", 0, 1))
         with pytest.raises(InvalidSpec):
             generate_queries(ds, QuerySpec(10))
+
+    @pytest.mark.parametrize("n", [0, 100])
+    def test_zero_count_is_empty(self, n):
+        ds = generate(DistributionSpec("uniform", n, 1))
+        assert generate_queries(ds, QuerySpec(0)) == []
+
+    @pytest.mark.parametrize("kwargs", [
+        {"count": -1},
+        {"count": 10, "mode": "sequential"},
+        {"count": 10, "repeat_fraction": 1.5},
+        {"count": 10, "repeat_fraction": float("nan")},
+    ])
+    def test_invalid_query_spec(self, kwargs):
+        with pytest.raises(InvalidSpec):
+            QuerySpec(**kwargs)
 
 
 class TestLinearFastPath:
@@ -183,6 +203,11 @@ class TestRunTrial:
         rec = run_trial(EngineConfig(), DistributionSpec("uniform", 256, 1),
                         QuerySpec(100, seed=2), BINARY)
         assert rec.cache_hit_rate is None
+
+    def test_unknown_algorithm(self):
+        with pytest.raises(ValueError, match="unknown trial algorithm"):
+            run_trial(EngineConfig(), DistributionSpec("uniform", 256, 1),
+                      QuerySpec(100, seed=2), "ternary")
 
 
 def reference_hit_rate(capacity, targets):
@@ -347,12 +372,21 @@ class TestEmitReport:
         records = self.make_records()[:1]
         assert emit_report(records, JSONL).count("\n") == 1
 
-    def test_csv_jsonl_csv_round_trip(self):
+    def test_csv_and_jsonl_carry_the_same_values(self):
         records = self.make_records()
-        csv1 = emit_report(records, CSV)
-        jl = emit_report(parse_csv(csv1), JSONL)
-        csv2 = emit_report(parse_jsonl(jl), CSV)
-        assert csv1 == csv2
+        csv_rows = list(csv.DictReader(io.StringIO(emit_report(records, CSV))))
+        json_rows = [json.loads(line) for line in emit_report(records, JSONL).splitlines()]
+        assert len(csv_rows) == len(json_rows) == len(records)
+        for csv_row, json_row in zip(csv_rows, json_rows):
+            assert list(csv_row) == list(json_row) == CSV_HEADER.split(",")
+            for name, text in csv_row.items():
+                value = json_row[name]
+                if value is None:
+                    assert text == ""
+                elif isinstance(value, float):
+                    assert float(text) == value, name
+                else:
+                    assert text == str(value), name
 
     def test_table_has_aligned_header(self):
         text = emit_report(self.make_records(), TABLE)

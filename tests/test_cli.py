@@ -102,7 +102,9 @@ def test_gen_overflowing_draws_are_data_error(tmp_path, capsys):
     for flags in (("--kind", "exponential", "--scale", "1e30"),
                   ("--kind", "uniform", "--hi", str(2**64)),
                   ("--kind", "clustered", "--lo", str(-(2**63) - 1)),
-                  ("--kind", "zipf", "--zipf-s", "nan")):
+                  ("--kind", "zipf", "--zipf-s", "nan"),
+                  # numpy refuses the 6.94 EiB of weights before allocating any
+                  ("--kind", "zipf", "--universe", str(10**18))):
         code, _, err = run(capsys, "gen", *flags, "--n", "20", "--seed", "1", "--out", str(out))
         assert code == 2, flags
         assert "data error" in err and err.count("\n") == 1
@@ -153,6 +155,14 @@ def test_bench_prints_generated_seed(capsys):
                          "--distributions", "uniform", "--algorithms", "binary")
     assert code == 0
     assert "seed:" in err
+
+
+def test_gen_prints_generated_seed_which_reproduces_the_output(capsys):
+    code, out, err = run(capsys, "gen", "--kind", "uniform", "--n", "50")
+    assert code == 0
+    assert err.startswith("seed: ") and err.count("\n") == 1
+    assert run(capsys, "gen", "--kind", "uniform", "--n", "50",
+               "--seed", err.split()[1]) == (0, out, "")
 
 
 def test_bench_selector_flags(capsys):

@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
 
 
 ENGINE, CACHE, DATASET = "src/adasearch/engine.py", "src/adasearch/cache.py", "src/adasearch/dataset.py"
+BENCH, CLI = "src/adasearch/bench.py", "src/adasearch/cli.py"
 MODEL = ("tests/test_engine_model.py",)
 REGISTER = """\
         reg = self._registry.get(ds)
@@ -73,6 +74,24 @@ CATALOGUE = (
     Mutant("hit builds a new record", ENGINE,
            "            return hit\n",
            "            return QueryResult(*hit)\n", MODEL),
+    Mutant("put evicts at capacity, not above it", CACHE,
+           "        if len(entries) > self.capacity:\n",
+           "        if len(entries) >= self.capacity:\n", ("tests/test_cache.py",)),
+    Mutant("JSONL rows left unrounded", BENCH,
+           "else round(value, _DECIMALS[name])",
+           "else value", ("tests/test_bench.py",)),
+    Mutant("table columns left unpadded", BENCH,
+           '"  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()',
+           '"  ".join(row)', ("tests/test_bench.py",)),
+    Mutant("search ignores a forced --algorithm", CLI,
+           "    used = args.algorithm or reg.choice.algorithm\n",
+           "    used = reg.choice.algorithm\n", ("tests/test_transcript.py",)),
+    Mutant("adaptive search ignores the selector", CLI,
+           "    used = args.algorithm or reg.choice.algorithm\n",
+           "    used = args.algorithm or \"binary\"\n", ("tests/test_transcript.py",)),
+    Mutant("MemoryError is not a data error", CLI,
+           "UnicodeDecodeError, MemoryError) as exc:",
+           "UnicodeDecodeError) as exc:", ("tests/test_cli.py",)),
 )
 
 
