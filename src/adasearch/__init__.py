@@ -25,7 +25,6 @@ from .search import (
 from .selector import (
     AlgorithmChoice,
     DistributionStats,
-    SelectorConfig,
     choose_algorithm,
     compute_stats,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "RegisteredDataset",
     "SearchEngine",
     "SearchOutcome",
-    "SelectorConfig",
     "SortedDataset",
     "binary_search",
     "choose_algorithm",

@@ -112,8 +112,7 @@ def run_trial(
     kernel = algorithm
     cache_hit_rate: Optional[float] = None
     if algorithm == ADAPTIVE:
-        sel = engine_cfg.selector
-        kernel = choose_algorithm(compute_stats(ds, sel), sel).algorithm
+        kernel = choose_algorithm(compute_stats(ds), engine_cfg.tau).algorithm
         cache_hit_rate = _replay_hit_rate(engine_cfg.cache_capacity, targets)
     t0 = time.perf_counter_ns()
     index, probes = search_batch(ds.array, targets, kernel)

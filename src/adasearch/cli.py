@@ -19,9 +19,9 @@ from . import bench as bench_mod
 from .bench import SuiteConfig, TRIAL_ALGORITHMS, emit_report, run_suite
 from .dataset import DatasetError, load_dataset
 from .distributions import DistributionSpec, InvalidSpec, KINDS, QUERY_MODES, generate
-from .engine import EngineConfig, SearchEngine
+from .engine import EngineConfig
 from .search import KERNELS
-from .selector import SelectorConfig
+from .selector import choose_algorithm, compute_stats
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -35,21 +35,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_selector_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau", type=float, default=SelectorConfig.tau,
+def _add_tau_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tau", type=float, default=EngineConfig.tau,
                    help="uniformity threshold for choosing interpolation (default %(default)s)")
-    p.add_argument("--min-interp-len", type=int, default=SelectorConfig.min_interp_len,
-                   help="minimum dataset length for interpolation (default %(default)s)")
-    p.add_argument("--gap-samples", type=int, default=SelectorConfig.max_gap_samples,
-                   help="maximum gaps examined by the selector (default %(default)s)")
-    p.add_argument("--cache-size", type=int, default=EngineConfig.cache_capacity,
-                   help="result cache capacity (default %(default)s)")
-
-
-def _engine_config(args) -> EngineConfig:
-    selector = SelectorConfig(tau=args.tau, min_interp_len=args.min_interp_len,
-                              max_gap_samples=args.gap_samples)
-    return EngineConfig(selector=selector, cache_capacity=args.cache_size)
 
 
 def build_parser() -> _Parser:
@@ -74,7 +62,7 @@ def build_parser() -> _Parser:
     search.add_argument("target", type=int)
     search.add_argument("--algorithm", choices=sorted(KERNELS), default=None,
                         help="force a kernel instead of adaptive selection")
-    _add_selector_flags(search)
+    _add_tau_flag(search)
 
     bench = sub.add_parser("bench", help="run the benchmark suite")
     bench.add_argument("--seed", type=int, default=None,
@@ -89,7 +77,9 @@ def build_parser() -> _Parser:
                        default=SuiteConfig.algorithms)
     bench.add_argument("--query-mode", choices=QUERY_MODES, default=SuiteConfig.query_mode)
     bench.add_argument("--repeat-fraction", type=float, default=SuiteConfig.repeat_fraction)
-    _add_selector_flags(bench)
+    _add_tau_flag(bench)
+    bench.add_argument("--cache-size", type=int, default=EngineConfig.cache_capacity,
+                       help="result cache capacity behind the adaptive rows (default %(default)s)")
     return parser
 
 
@@ -118,17 +108,18 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    cfg = EngineConfig(tau=args.tau)  # a usage error is reported before the file is read
     with open(args.dataset, "r", encoding="utf-8") as f:
         ds = load_dataset(f)
-    reg = SearchEngine(_engine_config(args)).register(ds)
-    # one query cannot hit the cache, so the registered (or forced) kernel runs once
-    used = args.algorithm or reg.choice.algorithm
+    # the engine's choice, made without an engine: one query cannot hit its cache
+    choice = choose_algorithm(compute_stats(ds), cfg.tau)
+    used = args.algorithm or choice.algorithm
     outcome = KERNELS[used](ds, args.target)
     print(f"found: {outcome.index is not None}")
     print(f"index: {outcome.index if outcome.index is not None else -1}")
     print(f"probes: {outcome.trace.probes}")
     print(f"algorithm: {used}")
-    print(f"selected: {reg.choice.algorithm} ({reg.choice.reason})")
+    print(f"selected: {choice.algorithm} ({choice.reason})")
     return 0
 
 
@@ -144,7 +135,7 @@ def _cmd_bench(args) -> int:
         query_mode=args.query_mode,
         repeat_fraction=args.repeat_fraction,
         seed=seed,
-        engine=_engine_config(args),
+        engine=EngineConfig(tau=args.tau, cache_capacity=args.cache_size),
     )
     report = emit_report(run_suite(cfg), args.format)
     _write_out(args.out, lambda f: f.write(report))

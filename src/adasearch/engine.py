@@ -4,23 +4,25 @@ dispatch, cache fill."""
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cache import CacheStats, LruCache
 from .dataset import SortedDataset
 from .search import KERNELS, SearchOutcome
-from .selector import AlgorithmChoice, DistributionStats, SelectorConfig, choose_algorithm, compute_stats
+from .selector import AlgorithmChoice, DistributionStats, choose_algorithm, compute_stats
 
 CACHE = "cache"
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    selector: SelectorConfig = field(default_factory=SelectorConfig)
+    tau: float = 1.0  # the selector's uniformity threshold
     cache_capacity: int = 1024
 
     def __post_init__(self):
+        if not self.tau > 0:
+            raise ValueError("tau must be > 0")
         if self.cache_capacity < 1:
             raise ValueError("cache_capacity must be >= 1")
 
@@ -64,8 +66,8 @@ class SearchEngine:
         registration. The keys are compared exactly, not by fingerprint."""
         reg = self._registry.get(ds)
         if reg is None:
-            stats = compute_stats(ds, self.config.selector)
-            reg = RegisteredDataset(ds, stats, choose_algorithm(stats, self.config.selector))
+            stats = compute_stats(ds)
+            reg = RegisteredDataset(ds, stats, choose_algorithm(stats, self.config.tau))
             self._registry[ds] = reg
         return reg
 

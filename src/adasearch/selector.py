@@ -9,7 +9,6 @@ choice is invariant under positive affine key transforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -22,20 +21,8 @@ UNIFORM_ENOUGH = "uniform_enough"
 TOO_IRREGULAR = "too_irregular"
 DEGENERATE = "degenerate"
 
-
-@dataclass(frozen=True)
-class SelectorConfig:
-    tau: float = 1.0
-    min_interp_len: int = 16
-    max_gap_samples: int = 4096
-
-    def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError("tau must be > 0")
-        if self.min_interp_len < 2:
-            raise ValueError("min_interp_len must be >= 2")
-        if self.max_gap_samples < 2:
-            raise ValueError("max_gap_samples must be >= 2")
+MIN_INTERP_LEN = 16  # shorter datasets get binary search
+MAX_GAP_SAMPLES = 4096  # more gaps than this are sampled at an even stride
 
 
 class DistributionStats(NamedTuple):
@@ -53,11 +40,10 @@ class AlgorithmChoice(NamedTuple):
     reason: str
 
 
-def compute_stats(ds: SortedDataset, cfg: SelectorConfig | None = None) -> DistributionStats:
-    """Gap statistics of a dataset over at most cfg.max_gap_samples evenly
+def compute_stats(ds: SortedDataset) -> DistributionStats:
+    """Gap statistics of a dataset over at most MAX_GAP_SAMPLES evenly
     strided gaps: every gap when they fit, otherwise a deterministic sample
     so analysis cost stays bounded."""
-    cfg = cfg or SelectorConfig()
     a = ds.array
     n = len(a)
     if n == 0:
@@ -67,7 +53,7 @@ def compute_stats(ds: SortedDataset, cfg: SelectorConfig | None = None) -> Distr
         return DistributionStats(1, v, v, 0.0, 0.0, 0.0, False)
 
     total_gaps = n - 1
-    k = min(total_gaps, cfg.max_gap_samples)
+    k = min(total_gaps, MAX_GAP_SAMPLES)
     # gap i itself when every gap fits (k == total_gaps), else every total_gaps/k-th gap
     j = np.arange(0, total_gaps * k, total_gaps) // k
     # endpoints as Python ints: a gap can exceed int64 (max - min reaches 2**64 - 1)
@@ -79,14 +65,13 @@ def compute_stats(ds: SortedDataset, cfg: SelectorConfig | None = None) -> Distr
     return DistributionStats(n, int(a[0]), int(a[-1]), mean, std, score, k < total_gaps)
 
 
-def choose_algorithm(stats: DistributionStats, cfg: SelectorConfig | None = None) -> AlgorithmChoice:
+def choose_algorithm(stats: DistributionStats, tau: float = 1.0) -> AlgorithmChoice:
     """Decision table: too-short datasets and degenerate (all-equal) key sets
     get binary search; otherwise the uniformity score against tau decides."""
-    cfg = cfg or SelectorConfig()
-    if stats.n < cfg.min_interp_len:
+    if stats.n < MIN_INTERP_LEN:
         return AlgorithmChoice(BINARY, TOO_SMALL)
     if stats.gap_mean == 0:
         return AlgorithmChoice(BINARY, DEGENERATE)
-    if stats.uniformity_score <= cfg.tau:
+    if stats.uniformity_score <= tau:
         return AlgorithmChoice(INTERPOLATION, UNIFORM_ENOUGH)
     return AlgorithmChoice(BINARY, TOO_IRREGULAR)

@@ -13,7 +13,6 @@ from adasearch import (
     InvalidSpec,
     QuerySpec,
     SearchEngine,
-    SelectorConfig,
     SortedDataset,
     choose_algorithm,
     compute_stats,
@@ -227,7 +226,7 @@ def reference_record(engine_cfg, spec, qs, algorithm, ds, targets):
     """The record run_trial gives, from the scalar kernels, one query at a time."""
     kernel = algorithm
     if algorithm == ADAPTIVE:
-        kernel = choose_algorithm(compute_stats(ds, engine_cfg.selector), engine_cfg.selector).algorithm
+        kernel = choose_algorithm(compute_stats(ds), engine_cfg.tau).algorithm
     outs = [KERNELS[kernel](ds, t) for t in targets]
     probes = [o.trace.probes for o in outs]
     q = len(targets)
@@ -336,7 +335,7 @@ class TestRunSuite:
         picked = set()
         for tau in (0.5, 1.0, 2.0):
             made.clear()
-            cfg = SuiteConfig(seed=42, engine=EngineConfig(selector=SelectorConfig(tau=tau)))
+            cfg = SuiteConfig(seed=42, engine=EngineConfig(tau=tau))
             records = run_suite(cfg)
             per_cell = len(cfg.algorithms)
             assert len(records) == per_cell * len(made) == per_cell * 8

@@ -112,12 +112,29 @@ def test_gen_overflowing_draws_are_data_error(tmp_path, capsys):
 
 
 def test_search_invalid_cache_size_is_usage_error(tmp_path, capsys):
+    # search consults no cache, so it has no --cache-size; the selector's
+    # length floor and gap-sample cap are constants, flags on neither command
     ds = tmp_path / "ds.txt"
     ds.write_text("1\n5\n9\n")
-    code, out, err = run(capsys, "search", str(ds), "5", "--cache-size", "0")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("adasearch: error:") and err.count("\n") == 1
+    for argv in (("search", str(ds), "5", "--cache-size", "0"),
+                 ("search", str(ds), "5", "--min-interp-len", "16"),
+                 ("search", str(ds), "5", "--gap-samples", "4096"),
+                 ("bench", "--seed", "1", "--min-interp-len", "16"),
+                 ("bench", "--seed", "1", "--gap-samples", "4096")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 1, argv
+        assert out == ""
+        assert err.endswith(f"adasearch: error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
+
+def test_search_invalid_tau_is_refused_before_the_file_is_read(tmp_path, capsys):
+    malformed = tmp_path / "malformed.txt"
+    malformed.write_text("1\n5\ntwo\n9\n")
+    for path in (tmp_path / "missing.txt", malformed):
+        code, out, err = run(capsys, "search", str(path), "5", "--tau", "0")
+        assert (code, out, err) == (1, "", "adasearch: error: tau must be > 0\n"), path
 
 
 def test_bench_spot_check_failure_is_internal_error(monkeypatch, capsys):

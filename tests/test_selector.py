@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 
@@ -7,12 +8,20 @@ import pytest
 from adasearch import (
     BINARY,
     INTERPOLATION,
-    SelectorConfig,
+    EngineConfig,
     SortedDataset,
     choose_algorithm,
     compute_stats,
 )
-from adasearch.selector import DEGENERATE, TOO_IRREGULAR, TOO_SMALL, UNIFORM_ENOUGH, DistributionStats
+from adasearch.selector import (
+    DEGENERATE,
+    MAX_GAP_SAMPLES,
+    MIN_INTERP_LEN,
+    TOO_IRREGULAR,
+    TOO_SMALL,
+    UNIFORM_ENOUGH,
+    DistributionStats,
+)
 
 
 def gap_cv_reference(values):
@@ -25,11 +34,11 @@ def gap_cv_reference(values):
     return math.sqrt(var) / mean
 
 
-def stats_reference(values, m):
+def stats_reference(values):
     """compute_stats over Python ints: the same strided gaps and fsum order,
     every subtraction exact."""
     n = len(values)
-    k = min(n - 1, m)
+    k = min(n - 1, MAX_GAP_SAMPLES)
     gaps = [values[j + 1] - values[j] for j in (i * (n - 1) // k for i in range(k))]
     mean = math.fsum(gaps) / k
     std = math.sqrt(math.fsum((g - mean) ** 2 for g in gaps) / k)
@@ -88,31 +97,37 @@ class TestComputeStats:
     def test_exact_below_sample_cap(self):
         rng = random.Random(1)
         values = sorted(rng.randrange(10**9) for _ in range(3000))
-        s = compute_stats(SortedDataset.from_values(values), SelectorConfig(max_gap_samples=4096))
+        s = compute_stats(SortedDataset.from_values(values))
         assert not s.sampled
         assert s.uniformity_score == pytest.approx(gap_cv_reference(values), rel=1e-12)
 
     def test_sampled_above_cap(self):
-        values = list(range(0, 2000, 1))
-        s = compute_stats(SortedDataset.from_values(values), SelectorConfig(max_gap_samples=128))
+        values = list(range(16 * MAX_GAP_SAMPLES))
+        s = compute_stats(SortedDataset.from_values(values))
         assert s.sampled
         assert s.uniformity_score == 0.0
 
-    @pytest.mark.parametrize("m,n", [(7, 8), (7, 9), (64, 65), (64, 66), (64, 193)])
+    @pytest.mark.parametrize("m,n", [(7, 8), (7, 9), (7, 20), (64, 65), (64, 66), (64, 193)])
     def test_stats_at_the_sample_cap(self, m, n):
-        """n - 1 == m uses every gap; one gap more switches to the stride."""
+        """A cap's worth of gaps uses every gap; one gap more switches to the
+        stride. Each case (m, n) is the gap count n - 1 = q*m + r at a cap of
+        m, taken to the fixed cap C as q*C + r gaps: (7, 8) is C gaps,
+        (7, 9) C + 1, (7, 20) 2C + 5 and (64, 193) 3C."""
+        q, r = divmod(n - 1, m)
+        cap = MAX_GAP_SAMPLES
+        n = q * cap + r + 1
         rng = random.Random(n)
         values = sorted(rng.randrange(-(2**40), 2**40) for _ in range(n))
-        if n - 1 <= m:
+        if n - 1 <= cap:
             gaps = [values[i + 1] - values[i] for i in range(n - 1)]
         else:
-            starts = [i * (n - 1) // m for i in range(m)]
+            starts = [i * (n - 1) // cap for i in range(cap)]
             gaps = [values[j + 1] - values[j] for j in starts]
         mean = sum(gaps) / len(gaps)
         std = math.sqrt(sum((g - mean) ** 2 for g in gaps) / len(gaps))
-        s = compute_stats(SortedDataset.from_values(values), SelectorConfig(max_gap_samples=m))
+        s = compute_stats(SortedDataset.from_values(values))
         assert (s.n, s.min_value, s.max_value) == (n, values[0], values[-1])
-        assert s.sampled == (n - 1 > m)
+        assert s.sampled == (n - 1 > cap)
         assert s.gap_mean == pytest.approx(mean, rel=1e-12)
         assert s.gap_std == pytest.approx(std, rel=1e-12)
         assert s.uniformity_score == pytest.approx(std / mean, rel=1e-12)
@@ -137,13 +152,19 @@ class TestComputeStats:
 
     @pytest.mark.parametrize("m", [4096, 7])
     def test_exact_beyond_int64_on_array_backed_datasets(self, m):
-        # gaps up to 2**64 - 1: an int64 subtraction would wrap them negative
-        for values in int64_extreme_families():
+        # gaps up to 2**64 - 1: an int64 subtraction would wrap them negative.
+        # Each key is repeated MAX_GAP_SAMPLES // m times, so at m = 7 exactly
+        # the families with more than 7 gaps have more than the fixed cap and
+        # are sampled, as they were at a cap of 7.
+        stretch = MAX_GAP_SAMPLES // m
+        for family in int64_extreme_families():
+            values = [v for v in family for _ in range(stretch)]
             ds = SortedDataset.from_sorted_array(np.array(values, dtype=np.int64))
-            s = compute_stats(ds, SelectorConfig(max_gap_samples=m))
-            assert s == stats_reference(values, m)
+            s = compute_stats(ds)
+            assert s == stats_reference(values)
+            assert s.sampled == (len(family) - 1 > m)
             assert type(s.min_value) is int and type(s.max_value) is int
-            assert compute_stats(SortedDataset.from_values(values), SelectorConfig(max_gap_samples=m)) == s
+            assert compute_stats(SortedDataset.from_values(values)) == s
 
 
 class TestChooseAlgorithm:
@@ -156,6 +177,12 @@ class TestChooseAlgorithm:
         s = compute_stats(SortedDataset.from_values(range(8)))
         c = choose_algorithm(s)
         assert c == (BINARY, TOO_SMALL)
+
+    def test_length_floor(self):
+        short = compute_stats(SortedDataset.from_values(range(MIN_INTERP_LEN - 1)))
+        assert choose_algorithm(short) == (BINARY, TOO_SMALL)
+        at_floor = compute_stats(SortedDataset.from_values(range(MIN_INTERP_LEN)))
+        assert choose_algorithm(at_floor) == (INTERPOLATION, UNIFORM_ENOUGH)
 
     def test_powers_of_two_get_binary(self):
         s = compute_stats(SortedDataset.from_values([2**i for i in range(21)]))
@@ -170,7 +197,10 @@ class TestChooseAlgorithm:
     def test_threshold_is_configurable(self):
         ds = SortedDataset.from_values([2**i for i in range(21)])
         s = compute_stats(ds)
-        assert choose_algorithm(s, SelectorConfig(tau=10.0)).algorithm == INTERPOLATION
+        assert choose_algorithm(s, tau=10.0).algorithm == INTERPOLATION
+        # a score equal to tau is uniform enough; the next float below tau is not
+        assert choose_algorithm(s, tau=s.uniformity_score) == (INTERPOLATION, UNIFORM_ENOUGH)
+        assert choose_algorithm(s, tau=math.nextafter(s.uniformity_score, 0)) == (BINARY, TOO_IRREGULAR)
 
     def test_affine_invariance_of_choice(self):
         rng = random.Random(13)
@@ -185,15 +215,15 @@ class TestChooseAlgorithm:
 
 
 class TestSelectorConfig:
-    def test_defaults(self):
-        cfg = SelectorConfig()
-        assert cfg.tau == 1.0
-        assert cfg.min_interp_len == 16
-        assert cfg.max_gap_samples == 4096
+    """The selector's one setting, EngineConfig.tau, and its two constants."""
 
-    @pytest.mark.parametrize("kwargs", [
-        {"tau": 0.0}, {"tau": -1.0}, {"min_interp_len": 1}, {"max_gap_samples": 1},
-    ])
+    def test_defaults(self):
+        assert EngineConfig().tau == 1.0
+        assert inspect.signature(choose_algorithm).parameters["tau"].default == EngineConfig().tau
+        assert MIN_INTERP_LEN == 16
+        assert MAX_GAP_SAMPLES == 4096
+
+    @pytest.mark.parametrize("kwargs", [{"tau": 0.0}, {"tau": -1.0}])
     def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            SelectorConfig(**kwargs)
+        with pytest.raises(ValueError, match="tau must be > 0"):
+            EngineConfig(**kwargs)

@@ -41,13 +41,20 @@ class Mutant(NamedTuple):
 
 ENGINE, CACHE, DATASET = "src/adasearch/engine.py", "src/adasearch/cache.py", "src/adasearch/dataset.py"
 BENCH, CLI = "src/adasearch/bench.py", "src/adasearch/cli.py"
+SEARCH, SELECTOR = "src/adasearch/search.py", "src/adasearch/selector.py"
 MODEL = ("tests/test_engine_model.py",)
 REGISTER = """\
         reg = self._registry.get(ds)
         if reg is None:
-            stats = compute_stats(ds, self.config.selector)
-            reg = RegisteredDataset(ds, stats, choose_algorithm(stats, self.config.selector))
+            stats = compute_stats(ds)
+            reg = RegisteredDataset(ds, stats, choose_algorithm(stats, self.config.tau))
             self._registry[ds] = reg
+"""
+
+SEARCH_CONFIG = "    cfg = EngineConfig(tau=args.tau)  # a usage error is reported before the file is read\n"
+SEARCH_LOAD = """\
+    with open(args.dataset, "r", encoding="utf-8") as f:
+        ds = load_dataset(f)
 """
 
 CATALOGUE = (
@@ -84,14 +91,32 @@ CATALOGUE = (
            '"  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()',
            '"  ".join(row)', ("tests/test_bench.py",)),
     Mutant("search ignores a forced --algorithm", CLI,
-           "    used = args.algorithm or reg.choice.algorithm\n",
-           "    used = reg.choice.algorithm\n", ("tests/test_transcript.py",)),
+           "    used = args.algorithm or choice.algorithm\n",
+           "    used = choice.algorithm\n", ("tests/test_transcript.py",)),
     Mutant("adaptive search ignores the selector", CLI,
-           "    used = args.algorithm or reg.choice.algorithm\n",
+           "    used = args.algorithm or choice.algorithm\n",
            "    used = args.algorithm or \"binary\"\n", ("tests/test_transcript.py",)),
+    Mutant("search validates --tau after the load", CLI,
+           SEARCH_CONFIG + SEARCH_LOAD, SEARCH_LOAD + SEARCH_CONFIG, ("tests/test_cli.py",)),
     Mutant("MemoryError is not a data error", CLI,
            "UnicodeDecodeError, MemoryError) as exc:",
            "UnicodeDecodeError) as exc:", ("tests/test_cli.py",)),
+    Mutant("a score equal to tau picks binary", SELECTOR,
+           "if stats.uniformity_score <= tau:",
+           "if stats.uniformity_score < tau:", ("tests/test_selector.py",)),
+    Mutant("a dataset at the length floor picks binary", SELECTOR,
+           "if stats.n < MIN_INTERP_LEN:",
+           "if stats.n <= MIN_INTERP_LEN:", ("tests/test_selector.py",)),
+    # unguarded, the loops still end: each probe narrows the window
+    Mutant("no interpolation guard in the scalar loop", SEARCH,
+           "if len(visited) < guard else",
+           "if True else", ("tests/test_search.py",)),
+    Mutant("no interpolation guard in search_batch", SEARCH,
+           "            if rounds < guard:\n",
+           "            if True:\n", ("tests/test_search.py",)),
+    Mutant("big-endian fingerprint", DATASET,
+           'np.ascontiguousarray(values, dtype="<i8")',
+           'np.ascontiguousarray(values, dtype=">i8")', ("tests/test_dataset.py",)),
 )
 
 

@@ -2,12 +2,14 @@
 
     python3 tools/transcript.py
 
-Writes the corpus files under tests/data/cli/ and, for each file, 11 targets
-in 5 modes (adaptive, each forced kernel, and an invalid --cache-size 0), runs
-`adasearch search FILE TARGET [FLAGS]` in-process from that directory and
+Writes the corpus files under tests/data/cli/ and, for each file, for the
+directory itself (`.`) and for a missing path, 12 targets (11 integers and
+`1.5`) in 5 modes (adaptive, each forced kernel, and an invalid --tau 0), runs
+`adasearch search PATH TARGET [FLAGS]` in-process from that directory and
 records argv, exit code, stdout and stderr in tests/data/cli/transcript.txt.
 tests/test_transcript.py replays the transcript, so a change to what the
-command prints or how it exits is a diff of that one file.
+command prints or how it exits is a diff of that one file. The usage line
+argparse prints is wrapped at COLUMNS, which both pin to 80.
 """
 
 from __future__ import annotations
@@ -54,11 +56,19 @@ FILES = {
     "nonascii_digits.txt": "1\n٣\n9\n".encode(),
     "signs.txt": b"-7\n-3\n+5\n+12\n",
     "underscore.txt": b"1\n1_000\n2000\n",
+    # 100 keys near 0 and 100 near 10^15: the selector picks binary
+    "two_clusters.txt": lines([*range(0, 200, 2), *range(10**15, 10**15 + 200, 2)]),
+    # more digits than the one-pass parse reads; every value fits int64
+    "digits_in_int64.txt": lines([INT64_MIN, -(10**18), "00000000000000000001", 10**18, INT64_MAX]),
+    "digits19_beyond_int64.txt": lines([INT64_MIN - 1, 0]),
+    "digits20_beyond_int64.txt": lines([0, 10**19]),
 }
+# the corpus directory itself, which exists in any checkout, and a path that does not
+PATHS = (*FILES, ".", "missing.txt")
 # targets for a file that does not load, or has no keys
 NO_KEYS_TARGETS = (-1, 0, 1, 2, 3, 5, 9, 10, 40, 2**63, INT64_MIN - 1)
 MODES = ((), ("--algorithm", "binary"), ("--algorithm", "interpolation"),
-         ("--algorithm", "linear"), ("--cache-size", "0"))
+         ("--algorithm", "linear"), ("--tau", "0"))
 
 
 def targets(path: Path) -> tuple[int, ...]:
@@ -67,7 +77,7 @@ def targets(path: Path) -> tuple[int, ...]:
     try:
         with open(path, encoding="utf-8") as f:
             keys = list(load_dataset(f).values)
-    except (DatasetError, OverflowError, UnicodeDecodeError):
+    except (DatasetError, OverflowError, OSError, UnicodeDecodeError):
         return NO_KEYS_TARGETS
     if not keys:
         return NO_KEYS_TARGETS
@@ -80,7 +90,10 @@ def targets(path: Path) -> tuple[int, ...]:
 def run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # an argparse usage error
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -107,17 +120,18 @@ def main() -> int:
         (CORPUS / name).write_bytes(content)
     blocks = []
     cwd = os.getcwd()
+    os.environ["COLUMNS"] = "80"
     os.chdir(CORPUS)
     try:
-        for name in FILES:
-            for target in targets(CORPUS / name):
+        for path in PATHS:
+            for target in (*targets(CORPUS / path), "1.5"):
                 for mode in MODES:
-                    argv = ["search", name, str(target), *mode]
+                    argv = ["search", path, str(target), *mode]
                     blocks.append(block(argv, *run(argv)))
     finally:
         os.chdir(cwd)
     TRANSCRIPT.write_text(HEADER + "\n" + "\n".join(blocks), encoding="utf-8")
-    print(f"{len(blocks)} invocations over {len(FILES)} files -> {TRANSCRIPT.relative_to(ROOT)}")
+    print(f"{len(blocks)} invocations over {len(PATHS)} paths -> {TRANSCRIPT.relative_to(ROOT)}")
     return 0
 
 
