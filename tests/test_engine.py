@@ -90,7 +90,7 @@ class TestAdaptiveSearch:
         qr = e.search(reg, 13)
         assert qr.outcome.index == 6
         assert not qr.cache_hit
-        assert qr.algorithm_used == BINARY  # n=11 below min_interp_len
+        assert qr.algorithm_used == BINARY  # n=11 below MIN_INTERP_LEN
 
     def test_repeat_query_served_from_cache(self, odd_progression):
         e = SearchEngine()
