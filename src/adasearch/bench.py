@@ -29,7 +29,7 @@ from .distributions import (
 )
 from .cache import LruCache
 from .engine import EngineConfig
-from .search import BINARY, INTERPOLATION, LINEAR, search_batch
+from .search import BINARY, INTERPOLATION, LINEAR, int_targets, search_batch
 from .selector import choose_algorithm, compute_stats
 
 ADAPTIVE = "adaptive"
@@ -81,7 +81,11 @@ def _replay_hit_rate(capacity: int, targets: Sequence[int]) -> float:
     """The engine's cache hit rate on a target stream. A hit returns the
     outcome the kernel produced for that same target, so the kernel's work
     does not depend on the stream, and replaying its keys through one LRU of
-    the engine's capacity gives the engine's hits, misses and evictions."""
+    the engine's capacity gives the engine's hits, misses and evictions; with
+    at most `capacity` distinct targets, nothing is evicted."""
+    q, distinct = len(targets), len(set(targets))
+    if distinct <= capacity:
+        return (q - distinct) / q if q else 0.0
     cache = LruCache(capacity)
     for target in targets:
         if cache.get(target) is None:
@@ -95,10 +99,11 @@ def run_trial(
     query_spec: QuerySpec,
     algorithm: str = ADAPTIVE,
     dataset: SortedDataset | None = None,
-    targets: list[int] | None = None,
+    targets: Sequence[int] | np.ndarray | None = None,
 ) -> TrialRecord:
     """Execute one benchmark cell. A pre-generated dataset/target stream may
-    be passed in so paired trials share them exactly.
+    be passed in so paired trials share them exactly; an int64 target array
+    is used as it is, so run_suite converts each stream once.
 
     Every trial runs its kernel over all targets at once
     (search.search_batch); adaptive runs the kernel the engine's register
@@ -106,21 +111,20 @@ def run_trial(
     if algorithm not in TRIAL_ALGORITHMS:
         raise ValueError(f"unknown trial algorithm: {algorithm!r}")
     ds = dataset if dataset is not None else generate(spec)
-    if targets is None:
-        targets = generate_queries(ds, query_spec)
+    targets = int_targets(generate_queries(ds, query_spec) if targets is None else targets)
 
     kernel = algorithm
     cache_hit_rate: Optional[float] = None
     if algorithm == ADAPTIVE:
         kernel = choose_algorithm(compute_stats(ds), engine_cfg.tau).algorithm
-        cache_hit_rate = _replay_hit_rate(engine_cfg.cache_capacity, targets)
+        cache_hit_rate = _replay_hit_rate(engine_cfg.cache_capacity, targets.tolist())
     t0 = time.perf_counter_ns()
     index, probes = search_batch(ds.array, targets, kernel)
     wall = time.perf_counter_ns() - t0
     found = index >= 0
 
     # found-ness spot check on a random 1% subsample
-    if targets:
+    if len(targets):
         check_rng = np.random.default_rng(query_spec.seed + 0x5F07)
         k = max(1, len(targets) // 100)
         for i in check_rng.integers(0, len(targets), size=k):
@@ -177,7 +181,7 @@ def run_suite(cfg: SuiteConfig) -> list[TrialRecord]:
             qs = QuerySpec(cfg.queries, cfg.query_mode, cfg.repeat_fraction, q_seed)
             try:
                 ds = generate(spec)
-                targets = generate_queries(ds, qs)
+                targets = int_targets(generate_queries(ds, qs))
             except InvalidSpec as exc:
                 raise InvalidSpec(f"suite cell ({kind}, n={n}): {exc}") from exc
             for algorithm in cfg.algorithms:

@@ -143,8 +143,10 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed a usage error (1) or --help (0)
+        return exc.code
     try:
         if args.command == "gen":
             return _cmd_gen(args)

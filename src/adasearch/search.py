@@ -128,23 +128,30 @@ KERNELS = {
 }
 
 
+def int_targets(targets: Sequence[int]) -> np.ndarray:
+    """Targets through operator.index, as the kernels take them (a float raises
+    TypeError): an int64 array, or an object array if one lies beyond int64."""
+    if isinstance(targets, np.ndarray) and targets.dtype == np.int64:
+        return targets
+    t = [operator.index(x) for x in targets]
+    try:
+        return np.array(t, dtype=np.int64)
+    except OverflowError:
+        return np.array(t, dtype=object)
+
+
 def search_batch(keys: np.ndarray, targets: Sequence[int], algorithm: str) -> tuple[np.ndarray, np.ndarray]:
     """Every target's index and probe count under one kernel, at once.
 
-    `keys` is the dataset as a nondecreasing int64 array and `targets` a
-    sequence of integers, each taken through operator.index as the scalar
-    kernels take it. Binary and interpolation search run in lockstep: each
-    round probes every live target's position with one vector read and
-    narrows its [lo, hi] window the way the scalar kernel does, interpolation
-    with its guard: at most 2 * n.bit_length() probes. Linear search takes the
-    first occurrence from np.searchsorted; a scan probes index + 1
-    keys on a find and all n on a miss. Returns int64 arrays (index, probes):
-    per target, the index the scalar kernel returns (-1 for a miss) and its
-    probe count.
-
-    Targets beyond int64, and interpolation keys with
-    (n - 1) * (max - min) >= 2**63, are held as Python ints (object arrays),
-    so every comparison and position product is exact.
+    `keys` is a nondecreasing int64 array; `targets` go through int_targets.
+    Binary and interpolation search run in lockstep: each round probes every
+    live target's position with one vector read and narrows its [lo, hi]
+    window as the scalar kernel does (interpolation with its guard), leaving
+    finished lanes as they are. Linear search takes the first occurrence from
+    np.searchsorted: a scan probes index + 1 keys on a find, n on a miss.
+    Returns int64 arrays (index, probes), -1 for a miss. Targets beyond int64
+    and interpolation keys with (n - 1) * (max - min) >= 2**63 are held as
+    Python ints (object arrays), so every comparison and product is exact.
     """
     n = len(keys)
     interpolate = algorithm == INTERPOLATION
@@ -153,48 +160,49 @@ def search_batch(keys: np.ndarray, targets: Sequence[int], algorithm: str) -> tu
             keys = keys.astype(object)
     elif algorithm not in (BINARY, LINEAR):
         raise ValueError(f"no batch kernel for {algorithm!r}")
-    t = [operator.index(x) for x in targets]
-    try:
-        t = np.array(t, dtype=np.int64)
-    except OverflowError:  # a target beyond int64
-        t = np.array(t, dtype=object)
+    t = int_targets(targets)
     if algorithm == LINEAR:
         first = np.searchsorted(keys, t)
         hit = first < n
         hit[hit] = keys[first[hit]] == t[hit]
         return np.where(hit, first, -1), np.where(hit, first + 1, n)
     m = len(t)
-    guard, rounds = n.bit_length(), 0
-    index = np.full(m, -1, dtype=np.int64)
-    probes = np.zeros(m, dtype=np.int64)
-    lane = np.arange(m)
-    lo = np.zeros(m, dtype=np.int64)
-    hi = np.full(m, n - 1, dtype=np.int64)
+    index, probes = np.full(m, -1, dtype=np.int64), np.zeros(m, dtype=np.int64)
+    if not n:
+        return index, probes
+    lo, hi = np.zeros(m, dtype=np.int64), np.full(m, n - 1, dtype=np.int64)
+    if not interpolate:
+        # a hit leaves lo = pos + 1, hi = pos - 1 and a miss an empty window whose
+        # midpoint key is not t; later rounds keep both windows' midpoints
+        while True:
+            pos = (lo + hi) >> 1
+            live = lo <= hi
+            if not live.any():
+                return np.where(keys[pos] == t, pos, -1), probes
+            probes += live
+            v = keys[pos]
+            lo = np.where(v <= t, pos + 1, lo)
+            hi = np.where(v >= t, pos - 1, hi)
+    # a window whose end keys enclose t never empties; a lane leaves `live`
+    # on a hit or when t leaves that range, and its window is not moved again
+    guard, rounds, live = n.bit_length(), 0, np.ones(m, dtype=bool)
     while True:
-        live = lo <= hi
-        lane, t, lo, hi = lane[live], t[live], lo[live], hi[live]
-        if not len(lane):
+        vl, vh = keys[lo], keys[hi]
+        live &= (vl <= t) & (t <= vh)
+        if not live.any():
             return index, probes
-        if interpolate:
-            # the scalar loop's range test, read only once lo <= hi: lo
-            # reaches n after a probe of the last key
-            vl, vh = keys[lo], keys[hi]
-            live = (vl <= t) & (t <= vh)
-            lane, t, lo, hi, vl, vh = lane[live], t[live], lo[live], hi[live], vl[live], vh[live]
-            # equal endpoints leave t == vl, so pos == lo: the scalar
-            # kernel's single probe of the low endpoint, which hits; every
-            # live lane has made `rounds` probes, so one compare is the guard
-            if rounds < guard:
-                pos = (lo + (hi - lo) * (t - vl) // np.maximum(vh - vl, 1)).astype(np.int64)
-            else:
-                pos = np.where(vl == vh, lo, (lo + hi) // 2)
-            rounds += 1
+        probes += live
+        # equal endpoints leave t == vl, so pos == lo: the scalar kernel's single
+        # probe of the low end; every live lane has made `rounds` probes, as the guard counts
+        if rounds < guard:
+            d = np.where(live, t, vl) - vl  # 0 for a finished lane: pos = lo
+            pos = (lo + (hi - lo) * d // np.maximum(vh - vl, 1)).astype(np.int64, copy=False)
         else:
-            pos = (lo + hi) // 2
+            pos = np.where(vl == vh, lo, (lo + hi) >> 1)
+        rounds += 1
         v = keys[pos]
-        probes[lane] += 1
-        hit = v == t
-        index[lane[hit]] = pos[hit]
-        # a hit gets lo = pos + 1 > hi = pos - 1 and leaves at the next round
-        lo = np.where(v <= t, pos + 1, lo)
-        hi = np.where(v >= t, pos - 1, hi)
+        hit = live & (v == t)
+        index = np.where(hit, pos, index)
+        live ^= hit
+        lo = np.where(live & (v < t), pos + 1, lo)
+        hi = np.where(live & (v > t), pos - 1, hi)

@@ -9,6 +9,7 @@ choice is invariant under positive affine key transforms.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -56,10 +57,11 @@ def compute_stats(ds: SortedDataset) -> DistributionStats:
     k = min(total_gaps, MAX_GAP_SAMPLES)
     # gap i itself when every gap fits (k == total_gaps), else every total_gaps/k-th gap
     j = np.arange(0, total_gaps * k, total_gaps) // k
-    # endpoints as Python ints: a gap can exceed int64 (max - min reaches 2**64 - 1)
-    gaps = [h - l for h, l in zip(a[1:][j].tolist(), a[j].tolist())]
-    mean = math.fsum(gaps) / k
-    var = math.fsum((g - mean) ** 2 for g in gaps) / k
+    u = a.view(np.uint64)  # a gap reaches 2**64 - 1, exact as a uint64 difference
+    gaps = u[j + 1] - u[j]
+    mean = math.fsum(gaps.tolist()) / k
+    # pow(d, 2) is libm's, and numpy's d * d rounds some squares differently
+    var = math.fsum(map(pow, (gaps - mean).tolist(), repeat(2))) / k
     std = math.sqrt(var)
     score = std / mean if mean > 0 else 0.0
     return DistributionStats(n, int(a[0]), int(a[-1]), mean, std, score, k < total_gaps)

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -220,6 +221,25 @@ def reference_hit_rate(capacity, targets):
             recent.pop(0)
         recent.append(t)
     return hits / len(targets)
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 5, 64])
+def test_replay_hit_rate_matches_an_lru_replay(capacity):
+    # distinct targets below, at and above the capacity: the closed form
+    # holds up to it, and above it the replay must evict
+    rng = random.Random(capacity)
+    for distinct in (capacity - 1, capacity, capacity + 1, 3 * capacity):
+        for extra in (0, 1, 3 * capacity + 7):
+            if not distinct:
+                continue
+            pool = rng.sample(range(-10**6, 10**6), distinct)
+            targets = pool + [rng.choice(pool) for _ in range(extra)]
+            rng.shuffle(targets)
+            assert bench._replay_hit_rate(capacity, targets) == reference_hit_rate(capacity, targets)
+    assert bench._replay_hit_rate(capacity, []) == 0.0
+    # one target more than fits: each repeat was evicted just before it
+    cycle = list(range(capacity + 1)) * 3
+    assert bench._replay_hit_rate(capacity, cycle) == reference_hit_rate(capacity, cycle) == 0.0
 
 
 def reference_record(engine_cfg, spec, qs, algorithm, ds, targets):

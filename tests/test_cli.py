@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from adasearch import SortedDataset, bench, linear_search
 from adasearch.cli import main
@@ -121,10 +120,8 @@ def test_search_invalid_cache_size_is_usage_error(tmp_path, capsys):
                  ("search", str(ds), "5", "--gap-samples", "4096"),
                  ("bench", "--seed", "1", "--min-interp-len", "16"),
                  ("bench", "--seed", "1", "--gap-samples", "4096")):
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        out, err = capsys.readouterr()
-        assert exc.value.code == 1, argv
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
         assert out == ""
         assert err.endswith(f"adasearch: error: unrecognized arguments: {' '.join(argv[-2:])}\n")
 
@@ -151,9 +148,15 @@ def test_bench_spot_check_failure_is_internal_error(monkeypatch, capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["gen", "--kind", "nope", "--n", "5"])
-    assert exc.value.code == 1
+    code, out, err = run(capsys, "gen", "--kind", "nope", "--n", "5")
+    assert (code, out) == (1, "")
+    assert "adasearch gen: error: argument --kind: invalid choice" in err  # returned, not raised
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run(capsys, "bench", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: adasearch bench")
 
 
 def test_bench_csv_to_file(tmp_path, capsys):

@@ -22,7 +22,15 @@ from adasearch import (
     interpolation_search,
     linear_search,
 )
-from adasearch.search import BINARY, INTERPOLATION, LINEAR, ProbeTrace, SearchOutcome, search_batch
+from adasearch.search import (
+    BINARY,
+    INTERPOLATION,
+    LINEAR,
+    ProbeTrace,
+    SearchOutcome,
+    int_targets,
+    search_batch,
+)
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -177,6 +185,35 @@ def test_search_batch_matches_kernels(case):
         outs = [kernel(ds, t) for t in targets]
         assert index.tolist() == [-1 if o.index is None else o.index for o in outs]
         assert probes.tolist() == [o.trace.probes for o in outs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(dataset_and_batch())
+def test_search_batch_takes_an_int64_array_as_the_list(case):
+    ds, targets = case
+    targets = [t for t in targets if INT64_MIN <= t <= INT64_MAX]
+    array = np.array(targets, dtype=np.int64)
+    assert int_targets(array) is array  # converted once, by whoever made it
+    for algorithm in (BINARY, INTERPOLATION, LINEAR):
+        from_list = search_batch(ds.array, targets, algorithm)
+        from_array = search_batch(ds.array, array, algorithm)
+        assert [a.tolist() for a in from_array] == [a.tolist() for a in from_list]
+
+
+def test_int_targets_takes_each_target_as_the_kernels_do():
+    assert int_targets([np.int64(3), True, INT64_MAX]).dtype == np.int64
+    beyond = int_targets([3, 2**63])  # the object path: Python ints, compared exactly
+    assert beyond.dtype == object and beyond.tolist() == [3, 2**63]
+    ds = SortedDataset.from_values([1, 3, 9])
+    for algorithm, kernel in ((BINARY, binary_search), (INTERPOLATION, interpolation_search),
+                              (LINEAR, linear_search)):
+        index, probes = search_batch(ds.array, [3, 2**63], algorithm)
+        outs = [kernel(ds, t) for t in (3, 2**63)]
+        assert index.tolist() == [1, -1]
+        assert probes.tolist() == [o.trace.probes for o in outs]
+        for floats in ([5.5], [1, 3.0], np.array([3.0])):  # never truncated to an int64
+            with pytest.raises(TypeError):
+                search_batch(ds.array, floats, algorithm)
 
 
 def test_search_batch_rejects_an_algorithm_without_a_kernel():

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from adasearch import (
     BINARY,
@@ -59,7 +60,40 @@ def int64_extreme_families():
                      for _ in range(n))
 
 
+@st.composite
+def sorted_key_lists(draw):
+    """2 to 2 * MAX_GAP_SAMPLES + 3 sorted int64 keys: each a value from a
+    small pool (int64 extremes among them, so gaps reach 2**64 - 1, and
+    heavy duplicates) or, at a drawn rate, a fresh key from a drawn range."""
+    edges = st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX])
+    pool = draw(st.lists(st.one_of(edges, st.integers(INT64_MIN, INT64_MAX)), min_size=1, max_size=6))
+    n = draw(st.integers(2, 2 * MAX_GAP_SAMPLES + 3))
+    fresh = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    lo, hi = draw(st.sampled_from([(-3, 3), (10**15, 10**18), (INT64_MIN, INT64_MAX)]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return sorted(rng.randint(lo, hi) if rng.random() < fresh else rng.choice(pool) for _ in range(n))
+
+
 class TestComputeStats:
+    @settings(max_examples=120, deadline=None)
+    @given(sorted_key_lists())
+    @example([INT64_MIN, INT64_MAX])
+    @example([INT64_MIN] * (MAX_GAP_SAMPLES + 1) + [INT64_MAX])  # the one wide gap falls between samples
+    @example(list(range(MAX_GAP_SAMPLES + 2)))  # the first sampled count of gaps
+    def test_matches_the_python_int_reference(self, values):
+        ds = SortedDataset.from_values(values)
+        assert compute_stats(ds) == stats_reference(values)
+        assert compute_stats(ds).sampled == (len(values) - 1 > MAX_GAP_SAMPLES)
+
+    def test_squares_round_as_python_pow(self):
+        # the squared deviations are summed as Python's d ** 2 (libm pow) makes
+        # them; numpy's d * d rounds one of these differently on glibc, giving
+        # a gap_std of 9.053745838166319e+17
+        values = [INT64_MIN, -6030332871513409632, -4648042873805307209]
+        s = compute_stats(SortedDataset.from_values(values))
+        assert s == stats_reference(values)
+        assert s.gap_std == 9.053745838166318e+17
+
     def test_arithmetic_progression(self):
         s = compute_stats(SortedDataset.from_values(range(100)))
         assert s.gap_mean == 1.0

@@ -41,9 +41,6 @@ def test_search_matches_transcript(path, monkeypatch, capsys):
     monkeypatch.chdir(CORPUS)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line at it, as the tool does
     for argv, code, out, err in (b for b in BLOCKS if b[0][1] == path):
-        try:
-            got = main(argv)
-        except SystemExit as exc:  # an argparse usage error
-            got = exc.code
+        got = main(argv)
         captured = capsys.readouterr()
         assert (got, captured.out, captured.err) == (code, out, err), argv

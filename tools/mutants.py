@@ -112,8 +112,21 @@ CATALOGUE = (
            "if len(visited) < guard else",
            "if True else", ("tests/test_search.py",)),
     Mutant("no interpolation guard in search_batch", SEARCH,
-           "            if rounds < guard:\n",
-           "            if True:\n", ("tests/test_search.py",)),
+           "        if rounds < guard:\n",
+           "        if True:\n", ("tests/test_search.py",)),
+    Mutant("binary records a probe only on a miss", SEARCH,
+           "        visited.append(mid)\n        if v == target:\n            index = mid\n            break\n",
+           "        if v == target:\n            index = mid\n            break\n        visited.append(mid)\n",
+           ("tests/test_search.py",)),
+    Mutant("search_batch's linear find probes index keys", SEARCH,
+           "np.where(hit, first + 1, n)",
+           "np.where(hit, first, n)", ("tests/test_records.py",)),
+    Mutant("compute_stats squares as d * d", SELECTOR,
+           "map(pow, (gaps - mean).tolist(), repeat(2))",
+           "(d * d for d in (gaps - mean).tolist())", ("tests/test_selector.py",)),
+    Mutant("replay shortcut past the capacity", BENCH,
+           "    if distinct <= capacity:\n",
+           "    if distinct <= capacity + 1:\n", ("tests/test_bench.py",)),
     Mutant("big-endian fingerprint", DATASET,
            'np.ascontiguousarray(values, dtype="<i8")',
            'np.ascontiguousarray(values, dtype=">i8")', ("tests/test_dataset.py",)),

@@ -90,10 +90,7 @@ def targets(path: Path) -> tuple[int, ...]:
 def run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # an argparse usage error
-            code = exc.code
+        code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
