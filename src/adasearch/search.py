@@ -146,12 +146,12 @@ def search_batch(keys: np.ndarray, targets: Sequence[int], algorithm: str) -> tu
     `keys` is a nondecreasing int64 array; `targets` go through int_targets.
     Binary and interpolation search run in lockstep: each round probes every
     live target's position with one vector read and narrows its [lo, hi]
-    window as the scalar kernel does (interpolation with its guard), leaving
-    finished lanes as they are. Linear search takes the first occurrence from
-    np.searchsorted: a scan probes index + 1 keys on a find, n on a miss.
-    Returns int64 arrays (index, probes), -1 for a miss. Targets beyond int64
-    and interpolation keys with (n - 1) * (max - min) >= 2**63 are held as
-    Python ints (object arrays), so every comparison and product is exact.
+    window as the scalar kernel does (interpolation with its guard); a
+    finished lane stays and keeps its answer. Linear search takes the first
+    occurrence from np.searchsorted: a scan probes index + 1 keys on a find,
+    n on a miss. Returns int64 arrays (index, probes), -1 for a miss. Targets
+    beyond int64 and interpolation keys with (n - 1) * (max - min) >= 2**63
+    are held as Python ints (object arrays), exact in every compare and product.
     """
     n = len(keys)
     interpolate = algorithm == INTERPOLATION
