@@ -11,7 +11,7 @@ from .dataset import (
     load_dataset,
 )
 from .distributions import DistributionSpec, InvalidSpec, QuerySpec, generate, generate_queries
-from .engine import EngineConfig, QueryResult, RegisteredDataset, SearchEngine
+from .engine import QueryResult, RegisteredDataset, SearchEngine
 from .search import (
     BINARY,
     INTERPOLATION,
@@ -36,7 +36,6 @@ __all__ = [
     "DatasetError",
     "DistributionSpec",
     "DistributionStats",
-    "EngineConfig",
     "INTERPOLATION",
     "InvalidSpec",
     "LINEAR",

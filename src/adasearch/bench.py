@@ -28,7 +28,7 @@ from .distributions import (
     generate_queries,
 )
 from .cache import LruCache
-from .engine import EngineConfig
+from .engine import CACHE_CAPACITY
 from .search import BINARY, INTERPOLATION, LINEAR, int_targets, search_batch
 from .selector import choose_algorithm, compute_stats
 
@@ -94,12 +94,12 @@ def _replay_hit_rate(capacity: int, targets: Sequence[int]) -> float:
 
 
 def run_trial(
-    engine_cfg: EngineConfig,
     spec: DistributionSpec,
     query_spec: QuerySpec,
     algorithm: str = ADAPTIVE,
     dataset: SortedDataset | None = None,
     targets: Sequence[int] | np.ndarray | None = None,
+    cache_capacity: int = CACHE_CAPACITY,
 ) -> TrialRecord:
     """Execute one benchmark cell. A pre-generated dataset/target stream may
     be passed in so paired trials share them exactly; an int64 target array
@@ -107,7 +107,8 @@ def run_trial(
 
     Every trial runs its kernel over all targets at once
     (search.search_batch); adaptive runs the kernel the engine's register
-    would choose, without fingerprinting the dataset."""
+    would choose, without fingerprinting the dataset, and reports the hit
+    rate of a cache of cache_capacity results."""
     if algorithm not in TRIAL_ALGORITHMS:
         raise ValueError(f"unknown trial algorithm: {algorithm!r}")
     ds = dataset if dataset is not None else generate(spec)
@@ -116,8 +117,8 @@ def run_trial(
     kernel = algorithm
     cache_hit_rate: Optional[float] = None
     if algorithm == ADAPTIVE:
-        kernel = choose_algorithm(compute_stats(ds), engine_cfg.tau).algorithm
-        cache_hit_rate = _replay_hit_rate(engine_cfg.cache_capacity, targets.tolist())
+        kernel = choose_algorithm(compute_stats(ds)).algorithm
+        cache_hit_rate = _replay_hit_rate(cache_capacity, targets.tolist())
     t0 = time.perf_counter_ns()
     index, probes = search_batch(ds.array, targets, kernel)
     wall = time.perf_counter_ns() - t0
@@ -158,7 +159,11 @@ class SuiteConfig:
     query_mode: str = MEMBERS
     repeat_fraction: float = 0.0
     seed: int = 0
-    engine: EngineConfig = field(default_factory=EngineConfig)
+    cache_capacity: int = CACHE_CAPACITY  # behind the adaptive rows' hit rate
+
+    def __post_init__(self):
+        if self.cache_capacity < 1:
+            raise ValueError("cache_capacity must be >= 1")
 
 
 def _cell_seeds(base_seed: int, cell_index: int) -> tuple[int, int]:
@@ -185,8 +190,8 @@ def run_suite(cfg: SuiteConfig) -> list[TrialRecord]:
             except InvalidSpec as exc:
                 raise InvalidSpec(f"suite cell ({kind}, n={n}): {exc}") from exc
             for algorithm in cfg.algorithms:
-                records.append(run_trial(cfg.engine, spec, qs, algorithm,
-                                         dataset=ds, targets=targets))
+                records.append(run_trial(spec, qs, algorithm, dataset=ds, targets=targets,
+                                         cache_capacity=cfg.cache_capacity))
     return records
 
 

@@ -19,7 +19,6 @@ from . import bench as bench_mod
 from .bench import SuiteConfig, TRIAL_ALGORITHMS, emit_report, run_suite
 from .dataset import DatasetError, load_dataset
 from .distributions import DistributionSpec, InvalidSpec, KINDS, QUERY_MODES, generate
-from .engine import EngineConfig
 from .search import KERNELS
 from .selector import choose_algorithm, compute_stats
 
@@ -33,11 +32,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _add_tau_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau", type=float, default=EngineConfig.tau,
-                   help="uniformity threshold for choosing interpolation (default %(default)s)")
 
 
 def build_parser() -> _Parser:
@@ -62,7 +56,6 @@ def build_parser() -> _Parser:
     search.add_argument("target", type=int)
     search.add_argument("--algorithm", choices=sorted(KERNELS), default=None,
                         help="force a kernel instead of adaptive selection")
-    _add_tau_flag(search)
 
     bench = sub.add_parser("bench", help="run the benchmark suite")
     bench.add_argument("--seed", type=int, default=None,
@@ -77,8 +70,7 @@ def build_parser() -> _Parser:
                        default=SuiteConfig.algorithms)
     bench.add_argument("--query-mode", choices=QUERY_MODES, default=SuiteConfig.query_mode)
     bench.add_argument("--repeat-fraction", type=float, default=SuiteConfig.repeat_fraction)
-    _add_tau_flag(bench)
-    bench.add_argument("--cache-size", type=int, default=EngineConfig.cache_capacity,
+    bench.add_argument("--cache-size", type=int, default=SuiteConfig.cache_capacity,
                        help="result cache capacity behind the adaptive rows (default %(default)s)")
     return parser
 
@@ -108,11 +100,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    cfg = EngineConfig(tau=args.tau)  # a usage error is reported before the file is read
     with open(args.dataset, "r", encoding="utf-8") as f:
         ds = load_dataset(f)
     # the engine's choice, made without an engine: one query cannot hit its cache
-    choice = choose_algorithm(compute_stats(ds), cfg.tau)
+    choice = choose_algorithm(compute_stats(ds))
     used = args.algorithm or choice.algorithm
     outcome = KERNELS[used](ds, args.target)
     print(f"found: {outcome.index is not None}")
@@ -135,7 +126,7 @@ def _cmd_bench(args) -> int:
         query_mode=args.query_mode,
         repeat_fraction=args.repeat_fraction,
         seed=seed,
-        engine=EngineConfig(tau=args.tau, cache_capacity=args.cache_size),
+        cache_capacity=args.cache_size,
     )
     report = emit_report(run_suite(cfg), args.format)
     _write_out(args.out, lambda f: f.write(report))

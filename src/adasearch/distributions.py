@@ -19,7 +19,10 @@ CLUSTERED = "clustered"
 EXPONENTIAL = "exponential"
 ZIPF = "zipf"
 
-KINDS = (UNIFORM, CLUSTERED, EXPONENTIAL, ZIPF)
+# the parameters each kind reads; a spec naming any other is refused, not ignored
+PARAMS = {UNIFORM: ("lo", "hi"), CLUSTERED: ("lo", "hi", "clusters", "spread"),
+          EXPONENTIAL: ("scale",), ZIPF: ("s", "m")}
+KINDS = tuple(PARAMS)
 
 
 class InvalidSpec(ValueError):
@@ -38,6 +41,10 @@ class DistributionSpec:
             raise InvalidSpec(f"unknown distribution kind: {self.kind!r}")
         if self.n < 0:
             raise InvalidSpec("n must be >= 0")
+        unread = sorted(set(self.params) - set(PARAMS[self.kind]))
+        if unread:
+            raise InvalidSpec(f"{self.kind} reads only {', '.join(PARAMS[self.kind])}, "
+                              f"not {', '.join(unread)}")
 
     def summary(self) -> str:
         if not self.params:

@@ -13,18 +13,7 @@ from .search import KERNELS, SearchOutcome
 from .selector import AlgorithmChoice, DistributionStats, choose_algorithm, compute_stats
 
 CACHE = "cache"
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    tau: float = 1.0  # the selector's uniformity threshold
-    cache_capacity: int = 1024
-
-    def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError("tau must be > 0")
-        if self.cache_capacity < 1:
-            raise ValueError("cache_capacity must be >= 1")
+CACHE_CAPACITY = 1024  # results an engine keeps by default
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -54,9 +43,8 @@ class SearchEngine:
     happens once at registration; queries pay only a cache lookup plus, on a
     miss, the chosen kernel. Requires exclusive access per operation."""
 
-    def __init__(self, config: EngineConfig | None = None):
-        self.config = config or EngineConfig()
-        self._cache = LruCache(self.config.cache_capacity)
+    def __init__(self, cache_capacity: int = CACHE_CAPACITY):
+        self._cache = LruCache(cache_capacity)
         self._registry: dict[SortedDataset, RegisteredDataset] = {}
         self.kernel_probes = 0  # total probes spent in kernels (misses only)
 
@@ -67,7 +55,7 @@ class SearchEngine:
         reg = self._registry.get(ds)
         if reg is None:
             stats = compute_stats(ds)
-            reg = RegisteredDataset(ds, stats, choose_algorithm(stats, self.config.tau))
+            reg = RegisteredDataset(ds, stats, choose_algorithm(stats))
             self._registry[ds] = reg
         return reg
 

@@ -24,6 +24,7 @@ DEGENERATE = "degenerate"
 
 MIN_INTERP_LEN = 16  # shorter datasets get binary search
 MAX_GAP_SAMPLES = 4096  # more gaps than this are sampled at an even stride
+TAU = 1.0  # scores up to this pick interpolation; uniform-random keys score about 1
 
 
 class DistributionStats(NamedTuple):
@@ -67,13 +68,13 @@ def compute_stats(ds: SortedDataset) -> DistributionStats:
     return DistributionStats(n, int(a[0]), int(a[-1]), mean, std, score, k < total_gaps)
 
 
-def choose_algorithm(stats: DistributionStats, tau: float = 1.0) -> AlgorithmChoice:
+def choose_algorithm(stats: DistributionStats) -> AlgorithmChoice:
     """Decision table: too-short datasets and degenerate (all-equal) key sets
-    get binary search; otherwise the uniformity score against tau decides."""
+    get binary search; otherwise the uniformity score against TAU decides."""
     if stats.n < MIN_INTERP_LEN:
         return AlgorithmChoice(BINARY, TOO_SMALL)
     if stats.gap_mean == 0:
         return AlgorithmChoice(BINARY, DEGENERATE)
-    if stats.uniformity_score <= tau:
+    if stats.uniformity_score <= TAU:
         return AlgorithmChoice(INTERPOLATION, UNIFORM_ENOUGH)
     return AlgorithmChoice(BINARY, TOO_IRREGULAR)

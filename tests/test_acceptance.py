@@ -17,7 +17,6 @@ import pytest
 
 from adasearch import (
     BINARY,
-    EngineConfig,
     DistributionSpec,
     INTERPOLATION,
     LruCache,
@@ -117,8 +116,7 @@ def test_c4_probe_growth_separation():
             qs = QuerySpec(10**4, "members", seed=2000 + n)
             stream = generate_queries(ds, qs)
             for algorithm in (BINARY, INTERPOLATION):
-                rec = run_trial(EngineConfig(), spec, qs, algorithm,
-                                dataset=ds, targets=stream)
+                rec = run_trial(spec, qs, algorithm, dataset=ds, targets=stream)
                 means[(algorithm, n)] = rec.mean_probes
         interp_ratio = means[(INTERPOLATION, 2**20)] / means[(INTERPOLATION, 2**10)]
         binary_ratio = means[(BINARY, 2**20)] / means[(BINARY, 2**10)]
@@ -201,7 +199,7 @@ def test_c6_caching_benefit():
             seen.add(t)
         expected_rate = expected_hits / len(stream)
 
-        cached = SearchEngine(EngineConfig(cache_capacity=2 * 10**4))
+        cached = SearchEngine(2 * 10**4)
         reg = cached.register(ds)
         for t in stream:
             cached.search(reg, t)
@@ -227,8 +225,7 @@ def test_c7_selection_correctness_paired():
             qs = QuerySpec(10**4, "members", seed=72)
             stream = generate_queries(ds, qs)
             for algorithm in (BINARY, INTERPOLATION, ADAPTIVE):
-                rec = run_trial(EngineConfig(), spec, qs, algorithm,
-                                dataset=ds, targets=stream)
+                rec = run_trial(spec, qs, algorithm, dataset=ds, targets=stream)
                 results[(kind, algorithm)] = rec.mean_probes
         u_bin = results[("uniform", BINARY)]
         u_int = results[("uniform", INTERPOLATION)]

@@ -10,7 +10,6 @@ import pytest
 
 from adasearch import (
     DistributionSpec,
-    EngineConfig,
     InvalidSpec,
     QuerySpec,
     SearchEngine,
@@ -37,7 +36,7 @@ from adasearch.bench import (
     run_trial,
 )
 from adasearch.cli import main
-from adasearch.distributions import KINDS, QUERY_MODES
+from adasearch.distributions import KINDS, PARAMS, QUERY_MODES
 from adasearch.search import BINARY, INTERPOLATION, KERNELS, LINEAR
 
 
@@ -90,12 +89,27 @@ class TestGenerate:
         ("zipf", {"s": float("nan")}),
         ("exponential", {"scale": float("nan")}),
         ("clustered", {"spread": float("nan")}),
+        # a parameter the kind does not read is refused, not ignored
+        ("exponential", {"lo": 5, "bogus": 1}),
+        ("exponential", {"hi": 9}),
+        ("uniform", {"clusters": 3}),
+        ("clustered", {"scale": 1.0}),
+        ("zipf", {"lo": 0, "hi": 10}),
+        ("uniform", {"lo": 0, "s": 1.2}),
     ])
     def test_invalid_params(self, kind, params):
         # parameters are checked at n = 0 too, not only once there are keys
         for n in (10,) if (kind, params) in self.DRAWS_LEAVE_INT64 else (10, 0):
             with pytest.raises(InvalidSpec):
                 generate(DistributionSpec(kind, n, 1, params))
+
+    def test_every_parameter_a_kind_reads_is_accepted(self):
+        for kind, params in (("uniform", {"lo": -5, "hi": 5}),
+                             ("clustered", {"lo": 0, "hi": 100, "clusters": 2, "spread": 1.0}),
+                             ("exponential", {"scale": 10.0}),
+                             ("zipf", {"s": 1.1, "m": 50})):
+            assert set(params) == set(PARAMS[kind])
+            assert len(generate(DistributionSpec(kind, 20, 1, params))) == 20
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidSpec):
@@ -163,7 +177,7 @@ class TestLinearFastPath:
         ]
         for values, targets in cases:
             ds = SortedDataset.from_values(values)
-            rec = run_trial(EngineConfig(), DistributionSpec("uniform", len(ds), 1),
+            rec = run_trial(DistributionSpec("uniform", len(ds), 1),
                             QuerySpec(len(targets), seed=1), LINEAR, dataset=ds, targets=targets)
             outs = [linear_search(ds, t) for t in targets]
             probes = [out.trace.probes for out in outs]
@@ -180,33 +194,33 @@ class TestLinearFastPath:
 
 class TestRunTrial:
     def test_members_always_found(self):
-        rec = run_trial(EngineConfig(), DistributionSpec("uniform", 2**12, 1),
+        rec = run_trial(DistributionSpec("uniform", 2**12, 1),
                         QuerySpec(2000, "members", seed=2), ADAPTIVE)
         assert rec.found_rate == 1.0
         assert rec.queries == 2000
 
     def test_repeat_stream_hit_rate(self):
-        rec = run_trial(EngineConfig(cache_capacity=10**5),
-                        DistributionSpec("uniform", 2**16, 1),
-                        QuerySpec(10**4, "repeated", repeat_fraction=0.5, seed=2), ADAPTIVE)
+        rec = run_trial(DistributionSpec("uniform", 2**16, 1),
+                        QuerySpec(10**4, "repeated", repeat_fraction=0.5, seed=2), ADAPTIVE,
+                        cache_capacity=10**5)
         assert rec.cache_hit_rate is not None
         assert rec.cache_hit_rate >= 0.4
 
     def test_linear_mean_probes_near_half_n(self):
         n = 10**3
-        rec = run_trial(EngineConfig(), DistributionSpec("uniform", n, 5, {"lo": 0, "hi": 2**40}),
+        rec = run_trial(DistributionSpec("uniform", n, 5, {"lo": 0, "hi": 2**40}),
                         QuerySpec(5000, "members", seed=6), LINEAR)
         expected = (n + 1) / 2
         assert rec.mean_probes == pytest.approx(expected, rel=0.10)
 
     def test_baselines_have_no_hit_rate(self):
-        rec = run_trial(EngineConfig(), DistributionSpec("uniform", 256, 1),
+        rec = run_trial(DistributionSpec("uniform", 256, 1),
                         QuerySpec(100, seed=2), BINARY)
         assert rec.cache_hit_rate is None
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown trial algorithm"):
-            run_trial(EngineConfig(), DistributionSpec("uniform", 256, 1),
+            run_trial(DistributionSpec("uniform", 256, 1),
                       QuerySpec(100, seed=2), "ternary")
 
 
@@ -242,11 +256,11 @@ def test_replay_hit_rate_matches_an_lru_replay(capacity):
     assert bench._replay_hit_rate(capacity, cycle) == reference_hit_rate(capacity, cycle) == 0.0
 
 
-def reference_record(engine_cfg, spec, qs, algorithm, ds, targets):
+def reference_record(capacity, spec, qs, algorithm, ds, targets):
     """The record run_trial gives, from the scalar kernels, one query at a time."""
     kernel = algorithm
     if algorithm == ADAPTIVE:
-        kernel = choose_algorithm(compute_stats(ds), engine_cfg.tau).algorithm
+        kernel = choose_algorithm(compute_stats(ds)).algorithm
     outs = [KERNELS[kernel](ds, t) for t in targets]
     probes = [o.trace.probes for o in outs]
     q = len(targets)
@@ -255,7 +269,7 @@ def reference_record(engine_cfg, spec, qs, algorithm, ds, targets):
         found_rate=sum(o.index is not None for o in outs) / q,
         mean_probes=sum(probes) / q,
         p99_probes=float(np.percentile(probes, 99)),
-        cache_hit_rate=reference_hit_rate(engine_cfg.cache_capacity, targets)
+        cache_hit_rate=reference_hit_rate(capacity, targets)
         if algorithm == ADAPTIVE else None,
         wall_time_ns=0, seed=f"{spec.seed}/{qs.seed}")
 
@@ -263,21 +277,21 @@ def reference_record(engine_cfg, spec, qs, algorithm, ds, targets):
 class TestBatchTrial:
     ALGORITHMS = (BINARY, INTERPOLATION, ADAPTIVE, LINEAR)
 
-    def check(self, engine_cfg, spec, qs, ds, targets):
+    def check(self, capacity, spec, qs, ds, targets):
         for algorithm in self.ALGORITHMS:
-            rec = run_trial(engine_cfg, spec, qs, algorithm, dataset=ds, targets=targets)
-            expected = reference_record(engine_cfg, spec, qs, algorithm, ds, targets)
+            rec = run_trial(spec, qs, algorithm, dataset=ds, targets=targets, cache_capacity=capacity)
+            expected = reference_record(capacity, spec, qs, algorithm, ds, targets)
             assert replace(rec, wall_time_ns=0) == expected
 
     @pytest.mark.parametrize("kind", ["uniform", "exponential", "zipf", "clustered"])
     def test_matches_scalar_kernels(self, kind):
-        cfg = EngineConfig(cache_capacity=8)
+        capacity = 8
         for i, n in enumerate((1, 5, 17, 300)):
             spec = DistributionSpec(kind, n, 10 + i)
             ds = generate(spec)
             for mode in ("members", "mixed", "repeated"):
                 qs = QuerySpec(60, mode, repeat_fraction=0.5, seed=20 + i)
-                self.check(cfg, spec, qs, ds, generate_queries(ds, qs))
+                self.check(capacity, spec, qs, ds, generate_queries(ds, qs))
 
     def test_wide_keys(self):
         # (n - 1) * (max - min) >= 2**63: int64 interpolation would overflow
@@ -285,13 +299,13 @@ class TestBatchTrial:
         assert len(ds) >= 16
         assert choose_algorithm(compute_stats(ds)).algorithm == INTERPOLATION
         targets = list(ds.values) + [-(2**62) - 1, 5, 2**62 - 3, 2**62 + 1] + list(ds.values[:9])
-        self.check(EngineConfig(cache_capacity=4), DistributionSpec("uniform", len(ds), 1),
+        self.check(4, DistributionSpec("uniform", len(ds), 1),
                    QuerySpec(len(targets), seed=1), ds, targets)
 
     def test_targets_beyond_int64(self):
         ds = SortedDataset.from_values(list(range(0, 200, 3)))
         targets = [3, 2**63, 6, 2**63, 7, -(2**63) - 1, 3, 2**70]
-        self.check(EngineConfig(cache_capacity=2), DistributionSpec("uniform", len(ds), 1),
+        self.check(2, DistributionSpec("uniform", len(ds), 1),
                    QuerySpec(len(targets), seed=1), ds, targets)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -299,7 +313,7 @@ class TestBatchTrial:
         # a float is not truncated to the int64 it would convert to
         ds = SortedDataset.from_values([1, 5, 9])
         with pytest.raises(TypeError):
-            run_trial(EngineConfig(), DistributionSpec("uniform", len(ds), 1),
+            run_trial(DistributionSpec("uniform", len(ds), 1),
                       QuerySpec(1, seed=1), algorithm, dataset=ds, targets=[5.5])
 
     def test_spot_check_fires_on_the_batch_path(self, monkeypatch):
@@ -309,7 +323,7 @@ class TestBatchTrial:
         monkeypatch.setattr(bench, "search_batch", every_target_missed)
         for algorithm in self.ALGORITHMS:
             with pytest.raises(SpotCheckError):
-                run_trial(EngineConfig(), DistributionSpec("uniform", 256, 1),
+                run_trial(DistributionSpec("uniform", 256, 1),
                           QuerySpec(100, "members", seed=2), algorithm)
 
 
@@ -352,21 +366,20 @@ class TestRunSuite:
             return made[-1]
 
         monkeypatch.setattr(bench, "generate", recording_generate)
-        picked = set()
-        for tau in (0.5, 1.0, 2.0):
-            made.clear()
-            cfg = SuiteConfig(seed=42, engine=EngineConfig(tau=tau))
-            records = run_suite(cfg)
-            per_cell = len(cfg.algorithms)
-            assert len(records) == per_cell * len(made) == per_cell * 8
-            for i, ds in enumerate(made):
-                cell = {r.algorithm: r for r in records[i * per_cell:(i + 1) * per_cell]}
-                kernel = SearchEngine(cfg.engine).register(ds).choice.algorithm
-                picked.add((kernel, cell[BINARY].mean_probes != cell[INTERPOLATION].mean_probes))
-                for column in ("mean_probes", "p99_probes"):
-                    assert getattr(cell[ADAPTIVE], column) == getattr(cell[kernel], column), (tau, i)
-        # both kernels are picked where their rows differ, so a wrong pick shows
-        assert {(BINARY, True), (INTERPOLATION, True)} <= picked
+        cfg = SuiteConfig(seed=42)
+        records = run_suite(cfg)
+        per_cell = len(cfg.algorithms)
+        assert len(records) == per_cell * len(made) == per_cell * 8
+        picked = []
+        for i, ds in enumerate(made):
+            cell = {r.algorithm: r for r in records[i * per_cell:(i + 1) * per_cell]}
+            # the kernels' rows differ in every cell, so a wrong pick shows
+            assert cell[BINARY].mean_probes != cell[INTERPOLATION].mean_probes, i
+            picked.append(SearchEngine().register(ds).choice.algorithm)
+            for column in ("mean_probes", "p99_probes"):
+                assert getattr(cell[ADAPTIVE], column) == getattr(cell[picked[-1]], column), i
+        # both kernels are picked: interpolation on uniform keys at 2^10, 2^14 and 2^20
+        assert picked == [INTERPOLATION, INTERPOLATION, BINARY, INTERPOLATION] + [BINARY] * 4
 
     def test_paired_dominance_skewed(self):
         for kind in ("exponential", "zipf"):

@@ -1,6 +1,10 @@
+import csv
+import io
+
 import numpy as np
 
 from adasearch import SortedDataset, bench, linear_search
+import adasearch.cli as cli
 from adasearch.cli import main
 
 
@@ -126,12 +130,32 @@ def test_search_invalid_cache_size_is_usage_error(tmp_path, capsys):
         assert err.endswith(f"adasearch: error: unrecognized arguments: {' '.join(argv[-2:])}\n")
 
 
-def test_search_invalid_tau_is_refused_before_the_file_is_read(tmp_path, capsys):
-    malformed = tmp_path / "malformed.txt"
-    malformed.write_text("1\n5\ntwo\n9\n")
-    for path in (tmp_path / "missing.txt", malformed):
-        code, out, err = run(capsys, "search", str(path), "5", "--tau", "0")
-        assert (code, out, err) == (1, "", "adasearch: error: tau must be > 0\n"), path
+def test_tau_is_an_unrecognised_argument(tmp_path, capsys):
+    # the selector's threshold is the constant TAU, a flag on neither command
+    ds = tmp_path / "ds.txt"
+    ds.write_text("1\n5\n9\n")
+    for argv in (("search", str(ds), "5", "--tau", "1"), ("bench", "--seed", "1", "--tau", "1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.endswith("adasearch: error: unrecognized arguments: --tau 1\n")
+
+
+def test_bench_cache_size_below_one_is_refused_before_the_suite_runs(monkeypatch, capsys):
+    def run_suite(cfg):
+        raise AssertionError("run_suite was called")
+
+    monkeypatch.setattr(cli, "run_suite", run_suite)
+    code, out, err = run(capsys, "bench", "--seed", "1", "--cache-size", "0")
+    assert (code, out, err) == (1, "", "adasearch: error: cache_capacity must be >= 1\n")
+
+
+def test_gen_unread_parameters_are_data_error(tmp_path, capsys):
+    out = tmp_path / "ds.txt"
+    code, stdout, err = run(capsys, "gen", "--kind", "exponential", "--n", "3", "--seed", "1",
+                            "--lo", "5", "--hi", "9", "--universe", "7", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "adasearch: data error: exponential reads only scale, not hi, lo, m\n"
+    assert not out.exists()
 
 
 def test_bench_spot_check_failure_is_internal_error(monkeypatch, capsys):
@@ -186,13 +210,14 @@ def test_gen_prints_generated_seed_which_reproduces_the_output(capsys):
 
 
 def test_bench_selector_flags(capsys):
-    # tau large enough that exponential data still selects interpolation
-    code, out, _ = run(capsys, "bench", "--seed", "5", "--format", "csv",
-                       "--sizes", "4096", "--queries", "50",
-                       "--distributions", "exponential",
-                       "--algorithms", "adaptive", "interpolation",
-                       "--tau", "1000000")
-    assert code == 0
-    rows = [ln.split(",") for ln in out.splitlines()[1:]]
-    by_algo = {r[0]: r for r in rows}
-    assert by_algo["adaptive"][5] == by_algo["interpolation"][5]  # same mean probes
+    # --cache-size sizes the cache behind the adaptive row's hit rate
+    hit_rate = {}
+    for flags in ((), ("--cache-size", "1024"), ("--cache-size", "1")):
+        code, out, _ = run(capsys, "bench", "--seed", "5", "--format", "csv",
+                           "--sizes", "4096", "--queries", "200", "--distributions", "exponential",
+                           "--algorithms", "adaptive", "--query-mode", "repeated",
+                           "--repeat-fraction", "0.5", *flags)
+        assert code == 0
+        (row,) = csv.DictReader(io.StringIO(out))
+        hit_rate[flags] = float(row["cache_hit_rate"])
+    assert hit_rate[()] == hit_rate[("--cache-size", "1024")] > hit_rate[("--cache-size", "1")]

@@ -6,7 +6,6 @@ import pytest
 
 from adasearch import (
     BINARY,
-    EngineConfig,
     INTERPOLATION,
     QueryResult,
     SearchEngine,
@@ -14,7 +13,7 @@ from adasearch import (
     linear_search,
     load_dataset,
 )
-from adasearch.engine import CACHE
+from adasearch.engine import CACHE, CACHE_CAPACITY
 from adasearch.selector import TOO_SMALL
 
 
@@ -41,7 +40,7 @@ class TestRegister:
 
     def test_fingerprinted_only_by_report(self, fingerprint_calls):
         ds = SortedDataset.from_values(range(0, 3000, 3))
-        e = SearchEngine(EngineConfig(cache_capacity=64))
+        e = SearchEngine(64)
         reg = e.register(ds)
         hits = 0
         for t in random.Random(2).choices(range(-10, 3010), k=1000):
@@ -112,7 +111,7 @@ class TestAdaptiveSearch:
             assert hit.outcome is miss.outcome
 
     def test_evicted_target_misses_again(self, odd_progression):
-        e = SearchEngine(EngineConfig(cache_capacity=1))
+        e = SearchEngine(1)
         reg = e.register(odd_progression)
         first = e.search(reg, 13)
         other = e.search(reg, 8)  # evicts 13
@@ -123,6 +122,10 @@ class TestAdaptiveSearch:
         cache = e.report().cache
         assert (cache.hits, cache.misses, cache.evictions, cache.size) == (1, 3, 2, 1)
         assert e.kernel_probes == 2 * first.outcome.trace.probes + other.outcome.trace.probes
+
+    def test_cache_capacity_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="capacity must be >= 1"):
+            SearchEngine(cache_capacity=0)
 
     def test_large_uniform_uses_interpolation(self):
         e = SearchEngine()
@@ -164,6 +167,7 @@ class TestEngineReport:
     def test_fresh_engine(self):
         r = SearchEngine().report()
         assert r.choices == {}
+        assert r.cache.capacity == CACHE_CAPACITY == 1024
         assert r.cache.hits == r.cache.misses == 0
         assert r.kernel_probes == 0
 
@@ -207,7 +211,7 @@ def test_cache_transparency():
     targets = [random.Random(4).randrange(550) for _ in range(300)]
 
     def answers(capacity):
-        e = SearchEngine(EngineConfig(cache_capacity=capacity))
+        e = SearchEngine(capacity)
         reg = e.register(ds)
         out = []
         for t in targets:
@@ -226,7 +230,7 @@ def test_probe_savings_with_repeats():
     targets = [rng.choice(values) for _ in range(50)] * 10
 
     def kernel_probes(capacity):
-        e = SearchEngine(EngineConfig(cache_capacity=capacity))
+        e = SearchEngine(capacity)
         reg = e.register(ds)
         for t in targets:
             e.search(reg, t)

@@ -20,7 +20,6 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, initialize, invariant, rule
 
 from adasearch import (
-    EngineConfig,
     SearchEngine,
     SortedDataset,
     choose_algorithm,
@@ -75,7 +74,7 @@ class EngineModel(RuleBasedStateMachine):
 
     @initialize(capacity=st.integers(1, 4))
     def start(self, capacity):
-        self.engine = SearchEngine(EngineConfig(cache_capacity=capacity))
+        self.engine = SearchEngine(capacity)
         self.capacity = capacity
         self.first = {}  # content -> the first registration of that content
         self.choices = {}  # content -> AlgorithmChoice, in registration order

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from adasearch import (
     BINARY,
     INTERPOLATION,
-    EngineConfig,
     SortedDataset,
     choose_algorithm,
     compute_stats,
@@ -18,6 +17,7 @@ from adasearch.selector import (
     DEGENERATE,
     MAX_GAP_SAMPLES,
     MIN_INTERP_LEN,
+    TAU,
     TOO_IRREGULAR,
     TOO_SMALL,
     UNIFORM_ENOUGH,
@@ -228,13 +228,16 @@ class TestChooseAlgorithm:
         c = choose_algorithm(s)
         assert c == (BINARY, DEGENERATE)
 
-    def test_threshold_is_configurable(self):
-        ds = SortedDataset.from_values([2**i for i in range(21)])
-        s = compute_stats(ds)
-        assert choose_algorithm(s, tau=10.0).algorithm == INTERPOLATION
-        # a score equal to tau is uniform enough; the next float below tau is not
-        assert choose_algorithm(s, tau=s.uniformity_score) == (INTERPOLATION, UNIFORM_ENOUGH)
-        assert choose_algorithm(s, tau=math.nextafter(s.uniformity_score, 0)) == (BINARY, TOO_IRREGULAR)
+    def test_threshold_is_tau(self):
+        # one long gap after 98 unit gaps: 10 long it scores under TAU, 20 long over it
+        for long_gap, expected in ((10, (INTERPOLATION, UNIFORM_ENOUGH)), (20, (BINARY, TOO_IRREGULAR))):
+            s = compute_stats(SortedDataset.from_values([*range(99), 98 + long_gap]))
+            assert choose_algorithm(s) == expected, s.uniformity_score
+        # a score equal to TAU is uniform enough; the next float above TAU is not
+        s = compute_stats(SortedDataset.from_values([2**i for i in range(21)]))
+        assert choose_algorithm(s._replace(uniformity_score=TAU)) == (INTERPOLATION, UNIFORM_ENOUGH)
+        above = s._replace(uniformity_score=math.nextafter(TAU, math.inf))
+        assert choose_algorithm(above) == (BINARY, TOO_IRREGULAR)
 
     def test_affine_invariance_of_choice(self):
         rng = random.Random(13)
@@ -249,15 +252,10 @@ class TestChooseAlgorithm:
 
 
 class TestSelectorConfig:
-    """The selector's one setting, EngineConfig.tau, and its two constants."""
+    """The selector has no settings, only its three constants."""
 
     def test_defaults(self):
-        assert EngineConfig().tau == 1.0
-        assert inspect.signature(choose_algorithm).parameters["tau"].default == EngineConfig().tau
+        assert list(inspect.signature(choose_algorithm).parameters) == ["stats"]
+        assert TAU == 1.0
         assert MIN_INTERP_LEN == 16
         assert MAX_GAP_SAMPLES == 4096
-
-    @pytest.mark.parametrize("kwargs", [{"tau": 0.0}, {"tau": -1.0}])
-    def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ValueError, match="tau must be > 0"):
-            EngineConfig(**kwargs)

@@ -42,19 +42,14 @@ class Mutant(NamedTuple):
 ENGINE, CACHE, DATASET = "src/adasearch/engine.py", "src/adasearch/cache.py", "src/adasearch/dataset.py"
 BENCH, CLI = "src/adasearch/bench.py", "src/adasearch/cli.py"
 SEARCH, SELECTOR = "src/adasearch/search.py", "src/adasearch/selector.py"
+DISTRIBUTIONS = "src/adasearch/distributions.py"
 MODEL = ("tests/test_engine_model.py",)
 REGISTER = """\
         reg = self._registry.get(ds)
         if reg is None:
             stats = compute_stats(ds)
-            reg = RegisteredDataset(ds, stats, choose_algorithm(stats, self.config.tau))
+            reg = RegisteredDataset(ds, stats, choose_algorithm(stats))
             self._registry[ds] = reg
-"""
-
-SEARCH_CONFIG = "    cfg = EngineConfig(tau=args.tau)  # a usage error is reported before the file is read\n"
-SEARCH_LOAD = """\
-    with open(args.dataset, "r", encoding="utf-8") as f:
-        ds = load_dataset(f)
 """
 
 CATALOGUE = (
@@ -96,17 +91,21 @@ CATALOGUE = (
     Mutant("adaptive search ignores the selector", CLI,
            "    used = args.algorithm or choice.algorithm\n",
            "    used = args.algorithm or \"binary\"\n", ("tests/test_transcript.py",)),
-    Mutant("search validates --tau after the load", CLI,
-           SEARCH_CONFIG + SEARCH_LOAD, SEARCH_LOAD + SEARCH_CONFIG, ("tests/test_cli.py",)),
     Mutant("MemoryError is not a data error", CLI,
            "UnicodeDecodeError, MemoryError) as exc:",
            "UnicodeDecodeError) as exc:", ("tests/test_cli.py",)),
-    Mutant("a score equal to tau picks binary", SELECTOR,
-           "if stats.uniformity_score <= tau:",
-           "if stats.uniformity_score < tau:", ("tests/test_selector.py",)),
+    Mutant("a data error exits as a usage error", CLI,
+           "        return EXIT_DATA\n",
+           "        return EXIT_USAGE\n", ("tests/test_cli.py",)),
+    Mutant("a score equal to TAU picks binary", SELECTOR,
+           "if stats.uniformity_score <= TAU:",
+           "if stats.uniformity_score < TAU:", ("tests/test_selector.py",)),
     Mutant("a dataset at the length floor picks binary", SELECTOR,
            "if stats.n < MIN_INTERP_LEN:",
            "if stats.n <= MIN_INTERP_LEN:", ("tests/test_selector.py",)),
+    Mutant("equal endpoints probe the high end", SEARCH,
+           "            visited.append(lo)\n            index = lo\n",
+           "            visited.append(hi)\n            index = hi\n", ("tests/test_records.py",)),
     # unguarded, the loops still end: each probe narrows the window
     Mutant("no interpolation guard in the scalar loop", SEARCH,
            "if len(visited) < guard else",
@@ -124,6 +123,12 @@ CATALOGUE = (
     Mutant("compute_stats squares as d * d", SELECTOR,
            "map(pow, (gaps - mean).tolist(), repeat(2))",
            "(d * d for d in (gaps - mean).tolist())", ("tests/test_selector.py",)),
+    Mutant("bench accepts a cache of no results", BENCH,
+           "        if self.cache_capacity < 1:\n",
+           "        if self.cache_capacity < 0:\n", ("tests/test_cli.py",)),
+    Mutant("exponential reads lo and hi", DISTRIBUTIONS,
+           'EXPONENTIAL: ("scale",)',
+           'EXPONENTIAL: ("scale", "lo", "hi")', ("tests/test_bench.py",)),
     Mutant("replay shortcut past the capacity", BENCH,
            "    if distinct <= capacity:\n",
            "    if distinct <= capacity + 1:\n", ("tests/test_bench.py",)),

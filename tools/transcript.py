@@ -4,7 +4,7 @@
 
 Writes the corpus files under tests/data/cli/ and, for each file, for the
 directory itself (`.`) and for a missing path, 12 targets (11 integers and
-`1.5`) in 5 modes (adaptive, each forced kernel, and an invalid --tau 0), runs
+`1.5`) in 4 modes (adaptive and each forced kernel), runs
 `adasearch search PATH TARGET [FLAGS]` in-process from that directory and
 records argv, exit code, stdout and stderr in tests/data/cli/transcript.txt.
 tests/test_transcript.py replays the transcript, so a change to what the
@@ -68,7 +68,7 @@ PATHS = (*FILES, ".", "missing.txt")
 # targets for a file that does not load, or has no keys
 NO_KEYS_TARGETS = (-1, 0, 1, 2, 3, 5, 9, 10, 40, 2**63, INT64_MIN - 1)
 MODES = ((), ("--algorithm", "binary"), ("--algorithm", "interpolation"),
-         ("--algorithm", "linear"), ("--tau", "0"))
+         ("--algorithm", "linear"))
 
 
 def targets(path: Path) -> tuple[int, ...]:
