@@ -28,9 +28,8 @@ from .distributions import (
     generate_queries,
 )
 from .cache import LruCache
-from .engine import CACHE_CAPACITY
+from .engine import CACHE_CAPACITY, SearchEngine
 from .search import BINARY, INTERPOLATION, LINEAR, int_targets, search_batch
-from .selector import choose_algorithm, compute_stats
 
 ADAPTIVE = "adaptive"
 
@@ -106,9 +105,8 @@ def run_trial(
     is used as it is, so run_suite converts each stream once.
 
     Every trial runs its kernel over all targets at once
-    (search.search_batch); adaptive runs the kernel the engine's register
-    would choose, without fingerprinting the dataset, and reports the hit
-    rate of a cache of cache_capacity results."""
+    (search.search_batch); adaptive runs the kernel SearchEngine.register
+    chooses and reports the hit rate of a cache of cache_capacity results."""
     if algorithm not in TRIAL_ALGORITHMS:
         raise ValueError(f"unknown trial algorithm: {algorithm!r}")
     ds = dataset if dataset is not None else generate(spec)
@@ -117,7 +115,7 @@ def run_trial(
     kernel = algorithm
     cache_hit_rate: Optional[float] = None
     if algorithm == ADAPTIVE:
-        kernel = choose_algorithm(compute_stats(ds)).algorithm
+        kernel = SearchEngine().register(ds).choice.algorithm
         cache_hit_rate = _replay_hit_rate(cache_capacity, targets.tolist())
     t0 = time.perf_counter_ns()
     index, probes = search_batch(ds.array, targets, kernel)

@@ -19,8 +19,8 @@ from . import bench as bench_mod
 from .bench import SuiteConfig, TRIAL_ALGORITHMS, emit_report, run_suite
 from .dataset import DatasetError, load_dataset
 from .distributions import DistributionSpec, InvalidSpec, KINDS, QUERY_MODES, generate
+from .engine import SearchEngine
 from .search import KERNELS
-from .selector import choose_algorithm, compute_stats
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -102,8 +102,8 @@ def _cmd_gen(args) -> int:
 def _cmd_search(args) -> int:
     with open(args.dataset, "r", encoding="utf-8") as f:
         ds = load_dataset(f)
-    # the engine's choice, made without an engine: one query cannot hit its cache
-    choice = choose_algorithm(compute_stats(ds))
+    # the engine chooses; one query cannot hit its cache, so the kernel runs directly
+    choice = SearchEngine().register(ds).choice
     used = args.algorithm or choice.algorithm
     outcome = KERNELS[used](ds, args.target)
     print(f"found: {outcome.index is not None}")

@@ -1,4 +1,4 @@
-"""Immutable sorted integer datasets: loading, validation, fingerprinting."""
+"""Immutable sorted integer datasets: loading and validation."""
 
 from __future__ import annotations
 
@@ -32,8 +32,8 @@ class NotSortedError(DatasetError):
 
 def fingerprint(values: Sequence[int] | np.ndarray) -> bytes:
     """The 16-byte blake2b digest of the little-endian int64 encoding of
-    values, hashed from the array's buffer without a bytes copy. It names a
-    dataset in `id`, repr and SearchEngine.report(); no lookup uses it."""
+    values, hashed from the array's buffer without a bytes copy. Nothing in
+    the library calls it: a dataset is named by its keys."""
     encoded = np.ascontiguousarray(values, dtype="<i8")
     return hashlib.blake2b(encoded, digest_size=16).digest()
 
@@ -43,11 +43,10 @@ class SortedDataset:
     int64 `array`, a view that cannot be made writable. `values` is a
     read-only memoryview of that array, which the scalar kernels index: each
     element reads as a Python int. Datasets are equal when their keys are;
-    the hash reads n and at most 64 evenly strided keys. The fingerprint,
-    `id`, is computed on its first read (repr, SearchEngine.report()) and
-    then kept. Immutable after construction."""
+    the hash reads n and at most 64 evenly strided keys. Immutable after
+    construction."""
 
-    __slots__ = ("array", "values", "_id")
+    __slots__ = ("array", "values")
 
     array: np.ndarray
     values: memoryview
@@ -57,14 +56,6 @@ class SortedDataset:
         # the array read-only first, so that its view is read-only too
         object.__setattr__(self, "array", array)
         object.__setattr__(self, "values", memoryview(array))
-
-    @property
-    def id(self) -> bytes:
-        try:
-            return self._id
-        except AttributeError:
-            object.__setattr__(self, "_id", fingerprint(self.array))
-            return self._id
 
     def __setattr__(self, name, value):
         raise AttributeError("SortedDataset is immutable")
@@ -80,7 +71,8 @@ class SortedDataset:
         return hash((len(a), a[::-(-len(a) // 64) or 1].tobytes()))  # every key when n <= 64
 
     def __repr__(self) -> str:
-        return f"SortedDataset(len={len(self.array)}, id={self.id.hex()[:12]})"
+        a = self.array
+        return f"SortedDataset(len={len(a)}" + (f", first={a[0]}, last={a[-1]})" if len(a) else ")")
 
     def __reduce__(self):
         # the default restores slots through __setattr__, which refuses every write
@@ -123,7 +115,7 @@ def _adopt(arr: np.ndarray) -> SortedDataset:
     """Finish a dataset from an int64 array that nothing else holds: check the
     order, make the array read-only and keep a view of it, which refuses
     setflags(write=True) as the array itself would not. Every dataset is made
-    here; none is fingerprinted until its `id` is first read."""
+    here."""
     descents = (arr[1:] < arr[:-1]).nonzero()[0]
     if len(descents):
         raise NotSortedError(int(descents[0]) + 1)

@@ -8,7 +8,8 @@ machines and runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -23,6 +24,7 @@ ZIPF = "zipf"
 PARAMS = {UNIFORM: ("lo", "hi"), CLUSTERED: ("lo", "hi", "clusters", "spread"),
           EXPONENTIAL: ("scale",), ZIPF: ("s", "m")}
 KINDS = tuple(PARAMS)
+MAX_ZIPF_UNIVERSE = 2**24  # zipf holds 24 bytes of weights per value of its universe
 
 
 class InvalidSpec(ValueError):
@@ -34,9 +36,11 @@ class DistributionSpec:
     kind: str
     n: int
     seed: int
-    params: dict[str, Any] = field(default_factory=dict)
+    params: Mapping[str, Any] = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
+        # a read-only copy: a later change to the caller's dict cannot bypass the checks
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown distribution kind: {self.kind!r}")
         if self.n < 0:
@@ -60,7 +64,7 @@ def _to_int64(draws: np.ndarray, kind: str) -> np.ndarray:
     return draws.astype(np.int64)
 
 
-def _key_range(p: dict[str, Any], kind: str) -> tuple[int, int]:
+def _key_range(p: Mapping[str, Any], kind: str) -> tuple[int, int]:
     """The lo/hi key range of a uniform or clustered spec, checked to be an
     ordered pair of int64 values (numpy would reject it with a ValueError)."""
     lo = int(p.get("lo", 0))
@@ -101,8 +105,8 @@ def generate(spec: DistributionSpec) -> SortedDataset:
     else:  # ZIPF
         s = float(p.get("s", 1.2))
         universe = int(p.get("m", 10**6))
-        if not s > 0 or universe < 1:
-            raise InvalidSpec("zipf: need s > 0 and m >= 1")
+        if not s > 0 or not 1 <= universe <= MAX_ZIPF_UNIVERSE:
+            raise InvalidSpec(f"zipf: need s > 0 and 1 <= m <= {MAX_ZIPF_UNIVERSE}")
         ranks = np.arange(1, universe + 1, dtype=np.float64)
         weights = ranks**-s
         weights /= weights.sum()

@@ -33,7 +33,7 @@ class QueryResult(NamedTuple):
 
 
 class EngineReport(NamedTuple):
-    choices: dict[bytes, AlgorithmChoice]  # keyed by the dataset's fingerprint
+    registrations: tuple[RegisteredDataset, ...]  # in registration order
     cache: CacheStats
     kernel_probes: int
 
@@ -49,9 +49,9 @@ class SearchEngine:
         self.kernel_probes = 0  # total probes spent in kernels (misses only)
 
     def register(self, ds: SortedDataset) -> RegisteredDataset:
-        """Analyze ds once per engine: a dataset whose keys equal those of one
-        registered before (the same object, a copy, a reload) gets the first
-        registration. The keys are compared exactly, not by fingerprint."""
+        """Analyze ds once per engine, the one place the selector is called: a
+        dataset whose keys equal those of one registered before (the same
+        object, a copy, a reload) gets the first registration, compared exactly."""
         reg = self._registry.get(ds)
         if reg is None:
             stats = compute_stats(ds)
@@ -80,8 +80,4 @@ class SearchEngine:
         return tuple.__new__(QueryResult, (outcome, False, algorithm))
 
     def report(self) -> EngineReport:
-        return EngineReport(
-            choices={reg.dataset.id: reg.choice for reg in self._registry.values()},
-            cache=self._cache.stats(),
-            kernel_probes=self.kernel_probes,
-        )
+        return EngineReport(tuple(self._registry.values()), self._cache.stats(), self.kernel_probes)

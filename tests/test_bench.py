@@ -36,7 +36,8 @@ from adasearch.bench import (
     run_trial,
 )
 from adasearch.cli import main
-from adasearch.distributions import KINDS, PARAMS, QUERY_MODES
+from adasearch.dataset import INT64_MAX, INT64_MIN
+from adasearch.distributions import KINDS, MAX_ZIPF_UNIVERSE, PARAMS, QUERY_MODES, _to_int64
 from adasearch.search import BINARY, INTERPOLATION, KERNELS, LINEAR
 
 
@@ -96,6 +97,10 @@ class TestGenerate:
         ("clustered", {"scale": 1.0}),
         ("zipf", {"lo": 0, "hi": 10}),
         ("uniform", {"lo": 0, "s": 1.2}),
+        # refused before the weights over the universe, 24 bytes a value, are allocated
+        ("zipf", {"m": 0}),
+        ("zipf", {"m": MAX_ZIPF_UNIVERSE + 1}),
+        ("zipf", {"m": 10**18}),
     ])
     def test_invalid_params(self, kind, params):
         # parameters are checked at n = 0 too, not only once there are keys
@@ -110,6 +115,34 @@ class TestGenerate:
                              ("zipf", {"s": 1.1, "m": 50})):
             assert set(params) == set(PARAMS[kind])
             assert len(generate(DistributionSpec(kind, 20, 1, params))) == 20
+
+    def test_key_range_at_a_single_value(self):
+        for key in (5, INT64_MIN, INT64_MAX):
+            for kind in ("uniform", "clustered"):
+                params = {"lo": key, "hi": key} if kind == "uniform" else {"lo": key, "hi": key, "spread": 0}
+                assert generate(DistributionSpec(kind, 3, 1, params)).array.tolist() == [key] * 3
+
+    def test_zipf_over_a_universe_of_one(self):
+        assert generate(DistributionSpec("zipf", 5, 1, {"m": 1})).array.tolist() == [1] * 5
+
+    def test_draws_at_the_int64_ends(self):
+        # -2**63 is an int64 and 2**63 is not; both are exact as floats
+        assert _to_int64(np.array([-(2.0**63), 0.0]), "k").tolist() == [INT64_MIN, 0]
+        with pytest.raises(InvalidSpec, match="k: draws leave the 64-bit range"):
+            _to_int64(np.array([0.0, 2.0**63]), "k")
+
+    def test_spec_keeps_a_read_only_copy_of_its_params(self):
+        params = {"scale": 10.0}
+        spec = DistributionSpec("exponential", 3, 1, params)
+        params["bogus"] = 1
+        assert spec.summary() == "exponential(scale=10.0)"
+        with pytest.raises(TypeError):
+            spec.params["bogus"] = 1
+        twin = DistributionSpec("exponential", 3, 1, {"scale": 10.0})
+        assert spec == twin and hash(spec) == hash(twin) and len({spec, twin}) == 1
+        assert generate(spec) == generate(twin)
+        assert spec != DistributionSpec("exponential", 3, 1, {"scale": 11.0})
+        assert hash(DistributionSpec("uniform", 3, 1)) == hash(DistributionSpec("uniform", 3, 1, {}))
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidSpec):

@@ -106,9 +106,11 @@ def test_gen_overflowing_draws_are_data_error(tmp_path, capsys):
                   ("--kind", "uniform", "--hi", str(2**64)),
                   ("--kind", "clustered", "--lo", str(-(2**63) - 1)),
                   ("--kind", "zipf", "--zipf-s", "nan"),
-                  # numpy refuses the 6.94 EiB of weights before allocating any
-                  ("--kind", "zipf", "--universe", str(10**18))):
-        code, _, err = run(capsys, "gen", *flags, "--n", "20", "--seed", "1", "--out", str(out))
+                  # refused by the bound on the universe before any weight is allocated
+                  ("--kind", "zipf", "--universe", str(10**18)),
+                  # numpy refuses the 6.94 EiB of keys before allocating any (MemoryError)
+                  ("--kind", "uniform", "--n", str(10**18))):
+        code, _, err = run(capsys, "gen", "--n", "20", *flags, "--seed", "1", "--out", str(out))
         assert code == 2, flags
         assert "data error" in err and err.count("\n") == 1
         assert not out.exists()

@@ -92,7 +92,7 @@ def test_fingerprint_input_form_irrelevant():
 def test_id_stable_across_loads():
     a = load_dataset(io.StringIO("1\n2\n3"))
     b = load_dataset(io.StringIO("1\n2\n3\n"))
-    assert a.id == b.id
+    assert a == b and a.array.tolist() == b.array.tolist() == [1, 2, 3]
 
 
 def test_round_trip():
@@ -101,7 +101,7 @@ def test_round_trip():
     ds.dump(buf)
     again = load_dataset(io.StringIO(buf.getvalue()))
     assert again.values == ds.values
-    assert again.id == ds.id
+    assert again == ds
 
 
 def test_immutability():
@@ -115,16 +115,10 @@ def loaded_in_one_pass(ds, read):
     return read is not None and ds.array.base is read
 
 
-def fingerprinted(ds):
-    """Whether ds.id is computed, read without computing it."""
-    try:
-        SortedDataset._id.__get__(ds)
-    except AttributeError:
-        return False
-    return True
-
-
 def test_no_constructor_fingerprints(fingerprint_calls, canonical_reads):
+    """A dataset is named by its keys: no construction, and no use of a
+    dataset after it (register, search, report, repr, == and hash), calls
+    dataset.fingerprint."""
     made = {
         "generate": generate(DistributionSpec("uniform", 500, 3)),
         "load, one pass": load_dataset(io.StringIO("-5\n0\n0\n17\n")),
@@ -135,43 +129,18 @@ def test_no_constructor_fingerprints(fingerprint_calls, canonical_reads):
     }
     assert len(canonical_reads) == 2 and canonical_reads[1] is None
     assert loaded_in_one_pass(made["load, one pass"], canonical_reads[0])
-    assert fingerprint_calls == []
-    hashed = SortedDataset.from_values([7, 8, 9])
-    hashed.id
-    for name, round_trip in (("pickle", lambda d: pickle.loads(pickle.dumps(d))),
-                             ("copy", copy.copy), ("deepcopy", copy.deepcopy)):
-        made[name] = round_trip(hashed)
-    for name, ds in made.items():
-        ds.values, len(ds), ds.array.sum()
-        assert not fingerprinted(ds), name
-    assert len(fingerprint_calls) == 1 and fingerprint_calls[0] is hashed.array
-
-
-def register_and_report(ds, twin):
+    for name, round_trip in ROUND_TRIPS.items():
+        made[name] = round_trip(made["from_values, ints"])
     engine = SearchEngine()
-    engine.register(ds)
-    return engine.report()
-
-
-@pytest.mark.parametrize("use,fingerprints", [(lambda ds, twin: SearchEngine().register(ds), 0),
-                                              (lambda ds, twin: ds == twin, 0),
-                                              (lambda ds, twin: hash(ds), 0),
-                                              (lambda ds, twin: repr(ds), 1),
-                                              (register_and_report, 1)],
-                         ids=["register", "eq", "hash", "repr", "report"])
-def test_first_use_fingerprints_once(fingerprint_calls, use, fingerprints):
-    # register, == and hash read the keys; only repr and report() name a dataset by its digest
-    for make in (lambda: SortedDataset.from_values([3, 5, 5, 9]),
-                 lambda: load_dataset(io.StringIO("3\n5\n5\n9\n"))):
-        twin = make()
-        ds = make()
-        fingerprint_calls.clear()
-        use(ds, twin)
-        assert fingerprinted(ds) == bool(fingerprints)
-        assert len(fingerprint_calls) == fingerprints and all(a is ds.array for a in fingerprint_calls)
-        use(ds, twin), ds == twin, hash(ds), SearchEngine().register(ds)
-        assert len(fingerprint_calls) == fingerprints
-        assert ds.id is ds.id and ds.id == fingerprint(ds.array)
+    for name, ds in made.items():
+        twin = SortedDataset.from_values(ds.array.tolist())
+        reg = engine.register(ds)
+        engine.search(reg, int(ds.array[0])), engine.search(reg, 3)
+        assert engine.register(twin) is reg and ds == twin and hash(ds) == hash(twin), name
+        assert repr(ds) == f"SortedDataset(len={len(ds)}, first={ds.array[0]}, last={ds.array[-1]})"
+    assert repr(SortedDataset.from_values([])) == "SortedDataset(len=0)"
+    assert len(engine.report().registrations) == 5  # the copies of [1, 2, 2] share one
+    assert fingerprint_calls == []
 
 
 def test_array_is_read_only_and_detached_from_its_source():
@@ -179,7 +148,7 @@ def test_array_is_read_only_and_detached_from_its_source():
     ds = SortedDataset.from_values(src)
     src[0] = 100
     assert tuple(ds.values) == (3, 5, 5, 9)
-    assert ds.id == SortedDataset.from_values([3, 5, 5, 9]).id
+    assert ds == SortedDataset.from_values([3, 5, 5, 9])
     for d in (ds, SortedDataset.from_values([3, 5]), load_dataset(io.StringIO("3\n5\n"))):
         assert d.array.dtype == np.int64
         assert not d.array.flags.writeable
@@ -191,7 +160,8 @@ def test_array_is_read_only_and_detached_from_its_source():
 
 def test_from_sorted_array_matches_from_values():
     arr = np.array([3, 5, 5, 9], dtype=np.int64)
-    assert SortedDataset.from_sorted_array(arr).id == SortedDataset.from_values([3, 5, 5, 9]).id
+    ds = SortedDataset.from_sorted_array(arr)
+    assert ds == SortedDataset.from_values([3, 5, 5, 9]) and ds.array.tolist() == [3, 5, 5, 9]
 
 
 @pytest.mark.parametrize("values,index", [([1.5, 2.7], 0), ([1, 2.5, 3], 1),
@@ -210,11 +180,18 @@ def test_infinite_values_overflow(values, index):
         SortedDataset.from_values(values)
 
 
+@pytest.mark.parametrize("values,index", [([-(2**63), 2**63], 1), ([2**63 - 1, 2**63], 1),
+                                          ([-(2**63) - 1, 0], 0), ([0, -(2**63), 2**64], 2)])
+def test_out_of_range_value_is_located_past_the_int64_ends(values, index):
+    with pytest.raises(OverflowError, match=f"value at index {index} exceeds 64-bit range"):
+        SortedDataset.from_values(values)
+
+
 def test_integral_non_int_values_become_ints():
     ds = SortedDataset.from_values([True, 2.0, np.int64(3), 4])
     assert tuple(ds.values) == (1, 2, 3, 4)
     assert {type(v) for v in ds.values} == {int}
-    assert ds.id == SortedDataset.from_values([1, 2, 3, 4]).id
+    assert ds == SortedDataset.from_values([1, 2, 3, 4])
 
 
 def test_from_sorted_array_rejects_descent():
@@ -243,7 +220,7 @@ def test_int64_extremes_accepted_by_every_constructor():
     a = SortedDataset.from_values(extremes)
     b = SortedDataset.from_sorted_array(np.array(extremes, dtype=np.int64))
     assert tuple(a.values) == tuple(b.values) == tuple(extremes)
-    assert a.id == b.id
+    assert a == b
 
 
 INT64_EDGES = [-(2**63) - 1, -(2**63), 2**63 - 1, 2**63]
@@ -269,7 +246,7 @@ def test_list_array_and_text_constructors_agree(xs, presort):
             return type(exc), str(exc)
         assert all(type(v) is int for v in ds.values)
         assert ds.array.dtype == np.int64 and not ds.array.flags.writeable
-        return ds.values, ds.array.tolist(), ds.id
+        return ds.values, ds.array.tolist()
 
     from_list = build(lambda: SortedDataset.from_values(xs))
     assert build(lambda: SortedDataset.from_values(arr)) == from_list
@@ -298,7 +275,7 @@ def load_outcome(load, make_stream):
             return type(exc), str(exc)
     assert ds.array.dtype == np.int64 and not ds.array.flags.writeable
     assert all(type(v) is int for v in ds.values)
-    return ds.values, ds.array.tolist(), ds.id
+    return ds.values, ds.array.tolist()
 
 
 # around the edges of int64 and of the 18 digits the one-pass parse accepts
@@ -359,7 +336,7 @@ def test_canonical_text_is_parsed_in_one_pass(tmp_path, canonical_reads):
         loaded = load_dataset(f)
         assert f.read() == ""  # left at the end, as the loop leaves it
     assert loaded_in_one_pass(loaded, canonical_reads[-1])
-    assert loaded.id == ds.id and loaded.values == ds.values
+    assert loaded == ds and loaded.values == ds.values
     assert loaded_in_one_pass(load_dataset(io.StringIO("-5\n0\n0\n17\n")), canonical_reads[-1])
     # CRLF, translated to LF by a file opened in the default newline mode
     path.write_bytes(b"-3\r\n4\r\n")
@@ -407,7 +384,7 @@ ROUND_TRIPS = {"pickle": lambda d: pickle.loads(pickle.dumps(d)), "copy": copy.c
 def test_pickle_and_copy_round_trip(round_trip):
     for ds in dataset_forms():
         again = round_trip(ds)
-        assert again == ds and again.id == ds.id
+        assert again == ds
         assert again.values == ds.values
         assert again.array.tolist() == ds.array.tolist()
         assert again.array.dtype == np.int64 and not again.array.flags.writeable
@@ -464,7 +441,7 @@ def test_values_is_a_read_only_view_of_the_array(how, canonical_reads):
 @pytest.mark.parametrize("how", CONSTRUCTIONS)
 def test_keys_cannot_be_made_writable(how, canonical_reads):
     """The array is a view of a read-only array, so it refuses to become
-    writable, and the keys under a fingerprint or a cached answer stay put."""
+    writable, and the keys under the registry's hash or a cached answer stay put."""
     ds, _ = make_dataset(how, canonical_reads)
     with pytest.raises(ValueError):
         ds.array.setflags(write=True)
@@ -480,7 +457,7 @@ def test_keys_under_a_cached_answer_cannot_change():
         ds.array.setflags(write=True)
     with pytest.raises(ValueError):
         ds.array[1] = 7
-    assert list(ds.values) == [1, 5, 9] and ds.id == fingerprint(np.array([1, 5, 9]))
+    assert list(ds.values) == ds.array.tolist() == [1, 5, 9]
     assert engine.search(reg, 5).outcome.index == 1
 
 

@@ -14,7 +14,7 @@ from adasearch import (
     load_dataset,
 )
 from adasearch.engine import CACHE, CACHE_CAPACITY
-from adasearch.selector import TOO_SMALL
+from adasearch.selector import TOO_SMALL, UNIFORM_ENOUGH, compute_stats
 
 
 @pytest.fixture
@@ -38,7 +38,7 @@ class TestRegister:
         reg = e.register(SortedDataset.from_values(range(8)))
         assert reg.choice == (BINARY, TOO_SMALL)
 
-    def test_fingerprinted_only_by_report(self, fingerprint_calls):
+    def test_reported_once_however_often_searched(self):
         ds = SortedDataset.from_values(range(0, 3000, 3))
         e = SearchEngine(64)
         reg = e.register(ds)
@@ -46,12 +46,10 @@ class TestRegister:
         for t in random.Random(2).choices(range(-10, 3010), k=1000):
             hits += e.search(reg, t).cache_hit
         assert e.register(ds) is reg
-        assert fingerprint_calls == []
         report = e.report()
         assert 0 < hits < 1000 and report.cache.misses == 1000 - hits
-        assert len(fingerprint_calls) == 1 and report.choices == {ds.id: reg.choice}
-        e.report()
-        assert len(fingerprint_calls) == 1
+        assert report.registrations == (reg,) and e.report().registrations[0] is reg
+        assert (reg.dataset, reg.stats, reg.choice) == (ds, compute_stats(ds), (INTERPOLATION, UNIFORM_ENOUGH))
 
     def test_reregistration_memoized(self, tmp_path):
         e = SearchEngine()
@@ -79,7 +77,7 @@ class TestRegister:
         assert hash(near) == hash(ds) and near != ds
         near_reg = e.register(near)
         assert near_reg is not reg and near_reg.dataset is near and e.register(near) is near_reg
-        assert len(e.report().choices) == 2
+        assert e.report().registrations == (reg, near_reg)
 
 
 class TestAdaptiveSearch:
@@ -166,7 +164,7 @@ class TestAdaptiveSearch:
 class TestEngineReport:
     def test_fresh_engine(self):
         r = SearchEngine().report()
-        assert r.choices == {}
+        assert r.registrations == ()
         assert r.cache.capacity == CACHE_CAPACITY == 1024
         assert r.cache.hits == r.cache.misses == 0
         assert r.kernel_probes == 0
@@ -182,9 +180,13 @@ class TestEngineReport:
 
     def test_two_datasets_two_rows(self):
         e = SearchEngine()
+        small = e.register(SortedDataset.from_values(range(10)))
+        large = e.register(SortedDataset.from_values(range(5, 50)))
         e.register(SortedDataset.from_values(range(10)))
-        e.register(SortedDataset.from_values(range(5, 50)))
-        assert len(e.report().choices) == 2
+        r = e.report()
+        assert r.registrations == (small, large)  # in registration order, each once
+        assert [(reg.stats.n, reg.choice) for reg in r.registrations] == \
+               [(10, (BINARY, TOO_SMALL)), (45, (INTERPOLATION, UNIFORM_ENOUGH))]
 
 
 def test_correctness_under_adaptivity_randomized():

@@ -24,7 +24,6 @@ from adasearch import (
     SortedDataset,
     choose_algorithm,
     compute_stats,
-    fingerprint,
     load_dataset,
 )
 from adasearch.search import KERNELS
@@ -155,7 +154,10 @@ class EngineModel(RuleBasedStateMachine):
     @rule()
     def report(self):
         r = self.engine.report()
-        assert r.choices == {fingerprint(np.array(c, dtype=np.int64)): ch for c, ch in self.choices.items()}
+        # each content once, in the order it was first registered, with its stats and choice
+        assert r.registrations == tuple(self.first.values())
+        assert [(reg.stats, reg.choice) for reg in r.registrations] == \
+               [(compute_stats(SortedDataset.from_values(c)), ch) for c, ch in self.choices.items()]
         assert (r.cache.hits, r.cache.misses, r.cache.evictions, r.cache.size) == \
                (self.hits, self.misses, self.evictions, len(self.lru))
         assert r.kernel_probes == self.kernel_probes

@@ -175,6 +175,16 @@ class TestInterpolationSearch:
         assert index.tolist() == targets
         assert probes.max() <= 42
 
+    def test_batch_keys_whose_product_reaches_2_63(self):
+        # (n - 1) * (max - min) is exactly 2**63, past int64: the batch computes in Python ints
+        data = ds(-(2**62), 2**62)
+        targets = [INT64_MIN, -(2**62) - 1, -(2**62), 0, 2**62, 2**62 + 1, INT64_MAX]
+        index, probes = search_batch(data.array, targets, INTERPOLATION)
+        for t, i, p in zip(targets, index.tolist(), probes.tolist()):
+            out = interpolation_search(data, t)
+            assert (i, p) == (-1 if out.index is None else out.index, out.trace.probes)
+        assert index.tolist() == [-1, -1, 0, -1, 1, -1, -1]
+
 
 class TestLinearSearch:
     def test_scans_to_last(self):

@@ -135,6 +135,35 @@ CATALOGUE = (
     Mutant("big-endian fingerprint", DATASET,
            'np.ascontiguousarray(values, dtype="<i8")',
            'np.ascontiguousarray(values, dtype=">i8")', ("tests/test_dataset.py",)),
+    # boundaries: each holds at a value the code must accept or refuse exactly
+    Mutant("a draw of -2**63 is refused", DISTRIBUTIONS,
+           "(draws >= -(2.0**63))",
+           "(draws > -(2.0**63))", ("tests/test_bench.py",)),
+    Mutant("a draw of 2**63 is kept", DISTRIBUTIONS,
+           "(draws < 2.0**63)",
+           "(draws <= 2.0**63)", ("tests/test_bench.py",)),
+    Mutant("a key range of one value is refused", DISTRIBUTIONS,
+           "INT64_MIN <= lo <= hi <= INT64_MAX:",
+           "INT64_MIN <= lo < hi <= INT64_MAX:", ("tests/test_bench.py",)),
+    Mutant("a key range at an int64 end is refused", DISTRIBUTIONS,
+           "INT64_MIN <= lo <= hi <= INT64_MAX:",
+           "INT64_MIN < lo <= hi < INT64_MAX:", ("tests/test_bench.py",)),
+    Mutant("zipf refuses a universe of one", DISTRIBUTIONS,
+           "not 1 <= universe <=",
+           "not 1 < universe <=", ("tests/test_bench.py",)),
+    Mutant("search_batch keeps int64 keys at a product of 2**63", SEARCH,
+           "(int(keys[-1]) - int(keys[0])) >= 2**63:",
+           "(int(keys[-1]) - int(keys[0])) > 2**63:", ("tests/test_search.py",)),
+    Mutant("the range error skips a value of INT64_MIN", DATASET,
+           "not INT64_MIN <= int(v) <= INT64_MAX",
+           "not INT64_MIN < int(v) <= INT64_MAX", ("tests/test_dataset.py",)),
+    # the engine is the one place a dataset is analysed and named
+    Mutant("report lists registrations out of order", ENGINE,
+           "tuple(self._registry.values())",
+           "tuple(reversed(self._registry.values()))", ("tests/test_engine.py",)),
+    Mutant("the adaptive trial's kernel is not the engine's choice", BENCH,
+           "        kernel = SearchEngine().register(ds).choice.algorithm\n",
+           "        kernel = BINARY\n", ("tests/test_bench.py",)),
 )
 
 
