@@ -180,9 +180,9 @@ def run_suite(cfg: SuiteConfig) -> list[TrialRecord]:
         for n in cfg.sizes:
             ds_seed, q_seed = _cell_seeds(cfg.seed, cell_index)
             cell_index += 1
-            spec = DistributionSpec(kind, n, ds_seed)
-            qs = QuerySpec(cfg.queries, cfg.query_mode, cfg.repeat_fraction, q_seed)
             try:
+                spec = DistributionSpec(kind, n, ds_seed)
+                qs = QuerySpec(cfg.queries, cfg.query_mode, cfg.repeat_fraction, q_seed)
                 ds = generate(spec)
                 targets = int_targets(generate_queries(ds, qs))
             except InvalidSpec as exc:

@@ -115,51 +115,60 @@ def _adopt(arr: np.ndarray) -> SortedDataset:
     """Finish a dataset from an int64 array that nothing else holds: check the
     order, make the array read-only and keep a view of it, which refuses
     setflags(write=True) as the array itself would not. Every dataset is made
-    here."""
-    descents = (arr[1:] < arr[:-1]).nonzero()[0]
-    if len(descents):
-        raise NotSortedError(int(descents[0]) + 1)
-    arr.setflags(write=False)
+    here; one that _canonical_int64 found in order arrives read-only."""
+    if arr.flags.writeable:
+        descents = (arr[1:] < arr[:-1]).nonzero()[0]
+        if len(descents):
+            raise NotSortedError(int(descents[0]) + 1)
+        arr.setflags(write=False)
     return SortedDataset(arr.view())
 
 
 _CANONICAL_BYTES = b"0123456789-\n"
-# 10**18 - 1 < 2**63: no 18-digit line overflows, so nothing rests on how a
-# numpy version handles overflow (some saturate silently)
-_MAX_DIGITS = 18
+_BOUND = 10**18 - 1  # < 2**63: a key within it has at most 18 digits
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 def _canonical_int64(raw: bytes) -> np.ndarray | None:
-    """The values of ASCII text `raw` as a new int64 array if it is exactly
-    one `-?[0-9]{1,18}` per LF-terminated line, else None. np.fromstring alone
-    is lenient: it reads a blank line or a lone "-" as 0, "+5" as 5 and "1 2"
-    as two values, so the text's shape is checked before it is parsed."""
-    if not raw.endswith(b"\n") or raw.translate(None, _CANONICAL_BYTES):  # empty text too
+    """The values of ASCII text `raw` as a new int64 array, read-only if in
+    order, when it is what `dump` writes: one key within ±(10**18 - 1) per
+    LF-terminated line, without leading zeros or "-0". Else None.
+
+    np.fromstring alone reads blank lines or a lone "-" as 0, "+5" as 5 and
+    "1 2" as two values, so the bytes are checked until every line is one
+    `-?[0-9]+`. No such line is shorter than the canonical text of its value,
+    so the parsed keys' canonical lengths add up to len(raw) only if every
+    line is canonical. numpy reads a line beyond int64 (19+ digits), however
+    it overflows, as a key past the bound or as one that is as long only if
+    its sign differs from the line's, which the sign count refuses."""
+    if not raw.endswith(b"\n") or raw.translate(None, _CANONICAL_BYTES):  # the empty text too
+        return None
+    # no blank line: none first, and no LF pair (0x0A0A as a uint16) at an even or odd offset
+    if (raw.startswith(b"\n") or (np.frombuffer(raw, np.uint16, len(raw) // 2) == 0x0A0A).any()
+            or (np.frombuffer(raw, np.uint16, (len(raw) - 1) // 2, 1) == 0x0A0A).any()):
         return None
     b = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(b == ord("\n"))
-    starts = np.empty_like(ends)
-    starts[0] = 0
-    np.add(ends[:-1], 1, out=starts[1:])
-    signed = b[starts] == ord("-")
-    # in place, as each array is 8 bytes a line: a load's peak memory is its temporaries
-    digits = np.subtract(ends, starts, out=starts)
-    digits -= signed
-    # every "-" starts a line, and no line is blank, a lone "-" or too long
-    if (raw.count(b"-") != np.count_nonzero(signed)
-            or digits.min() < 1 or digits.max() > _MAX_DIGITS):
+    signs = np.flatnonzero(b == ord("-")) if b"-" in raw else np.zeros(0, np.intp)
+    # every "-" follows an LF (for one at offset 0, b[-1] is the final LF) and precedes a digit
+    if not (b[signs - 1] == ord("\n")).all() or (b[signs + 1] == ord("\n")).any():
         return None
-    lines = len(ends)
-    del ends, digits, signed  # before the parse allocates its array
     # No warnings.catch_warnings() here: it swaps the process-wide filter list,
     # and loads in two threads can leave every warning an error. numpy 2
     # raises on data it cannot read; numpy 1.x warns and returns the values
-    # before it, which the count below rejects.
+    # before it, which the length check below rejects.
     try:
         arr = np.fromstring(raw, dtype=np.int64, sep="\n")
     except ValueError:
         return None
-    return arr if len(arr) == lines else None
+    ordered = not (arr[1:] < arr[:-1]).any()
+    keys, n = arr if ordered else np.sort(arr), len(arr)  # unsorted text ends in NotSortedError
+    # bisected: the keys below -_BOUND, below 0 and up to _BOUND, and at or past ±10**1..18
+    low, neg, high = np.searchsorted(keys, (-_BOUND, 0, _BOUND + 1)).tolist()
+    wide = int((np.searchsorted(keys, -_POW10, "right") + n - np.searchsorted(keys, _POW10)).sum())
+    if low or high != n or neg != len(signs) or 2 * n + neg + wide != len(raw):
+        return None
+    arr.setflags(write=not ordered)
+    return arr
 
 
 def _read_canonical(stream: IO[str]) -> np.ndarray | None:

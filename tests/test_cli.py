@@ -2,6 +2,7 @@ import csv
 import io
 
 import numpy as np
+import pytest
 
 from adasearch import SortedDataset, bench, linear_search
 import adasearch.cli as cli
@@ -98,6 +99,15 @@ def test_bench_empty_cell_is_data_error(capsys):
                        "--distributions", "uniform", "--algorithms", "binary")
     assert code == 2
     assert "(uniform, n=0)" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags, message", [(("--sizes", "-4"), "(uniform, n=-4): n must be >= 0"),
+                                           (("--queries", "-1"), "(uniform, n=256): count must be >= 0")])
+def test_bench_invalid_cell_spec_names_its_cell(capsys, flags, message):
+    code, _, err = run(capsys, "bench", "--seed", "1", "--sizes", "256", "--distributions", "uniform",
+                       "--algorithms", "binary", *flags)
+    assert code == 2
+    assert err == f"adasearch: data error: suite cell {message}\n"
 
 
 def test_gen_overflowing_draws_are_data_error(tmp_path, capsys):

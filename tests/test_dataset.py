@@ -322,6 +322,12 @@ def dataset_texts(draw):
 @example("99999999999999999999\n")
 @example("9223372036854775808\n")
 @example("-9223372036854775809\n")
+@example("\n\n")  # numpy reads it as one 0, of the same length
+# a leading zero next to an overflowing line: the short line and the long one
+@example("007\n9223372036854775808\n")
+@example("9223372036854775808\n-0\n")
+@example("-0\n99999999999999999999\n")
+@example("0100\n-9223372036854775809\n")
 def test_load_matches_the_line_loop(text):
     expected = load_outcome(load_by_lines, lambda: io.StringIO(text))
     assert load_outcome(load_dataset, lambda: io.StringIO(text)) == expected
@@ -345,6 +351,57 @@ def test_canonical_text_is_parsed_in_one_pass(tmp_path, canonical_reads):
     # a 19-digit line is left to the loop even when it is in range
     assert tuple(load_dataset(io.StringIO(f"{2**63 - 1}\n")).values) == (2**63 - 1,)
     assert canonical_reads[-1] is None and len(canonical_reads) == 4
+
+
+ONE_PASS = [f"{-(10**18 - 1)}\n{10**18 - 1}\n", "0\n", "5\n5\n5\n", "-9\n-9\n-3\n", "-3\n-1\n",
+            f"{-(10**18 - 1)}\n-1\n0\n7\n10\n99\n100\n{10**17}\n{10**18 - 1}\n"]
+TO_THE_LOOP = ["007\n", "-0\n", "0\n00\n", "-007\n5\n", "1\n\n2\n", "\n5\n", "5\n\n", "\n\n", "-\n5\n",
+               "5\n-\n", f"{10**18}\n", f"{-(10**18)}\n", f"{2**63 - 1}\n", f"{-(2**63)}\n", f"1\n{10**18}\n"]
+
+
+@pytest.mark.parametrize("text", ONE_PASS)
+def test_canonical_text_takes_the_one_pass(text, canonical_reads):
+    ds = load_dataset(io.StringIO(text))
+    assert loaded_in_one_pass(ds, canonical_reads[-1]) and len(canonical_reads) == 1
+    assert ds.values == load_by_lines(io.StringIO(text)).values
+
+
+@pytest.mark.parametrize("text", TO_THE_LOOP)
+def test_other_literals_take_the_line_loop(text, canonical_reads):
+    """Leading zeros, "-0", blank lines, a lone "-" and keys of 19 digits."""
+    assert load_outcome(load_dataset, lambda: io.StringIO(text)) == load_outcome(
+        load_by_lines, lambda: io.StringIO(text))
+    assert canonical_reads[-1] is None
+
+
+def test_unsorted_canonical_text_fails_in_one_pass(canonical_reads):
+    keys = list(range(-20, 300, 7))
+    keys[30], keys[31] = keys[31], keys[30]
+    text = "".join(f"{k}\n" for k in keys)
+    with pytest.raises(NotSortedError) as one_pass:
+        load_dataset(io.StringIO(text))
+    assert isinstance(canonical_reads[-1], np.ndarray) and canonical_reads[-1].tolist() == keys
+    with pytest.raises(NotSortedError) as loop:
+        load_by_lines(io.StringIO(text))
+    assert one_pass.value.index == loop.value.index == 31
+
+
+@pytest.mark.parametrize("line, misread", [("1234567890123456789", -123456789012345678),
+                                            ("9999999999999999999", -999999999999999999)])
+def test_a_sign_that_numpy_flips_sends_the_text_to_the_loop(monkeypatch, canonical_reads, line, misread):
+    """Were numpy to read a 19-digit line as an 18-digit negative key, the key's
+    text would be as long as the line: the sign count refuses it, whatever
+    numpy does on overflow."""
+    fromstring = np.fromstring
+
+    def misreading(raw, dtype, sep):
+        return fromstring(raw.replace(line.encode(), str(misread).encode()), dtype=dtype, sep=sep)
+
+    monkeypatch.setattr(np, "fromstring", misreading)
+    text = f"{line}\n"
+    assert load_outcome(load_dataset, lambda: io.StringIO(text)) == load_outcome(
+        load_by_lines, lambda: io.StringIO(text))
+    assert canonical_reads[-1] is None
 
 
 def test_streams_the_one_pass_read_must_not_misread(tmp_path):

@@ -51,6 +51,11 @@ REGISTER = """\
             reg = RegisteredDataset(ds, stats, choose_algorithm(stats))
             self._registry[ds] = reg
 """
+BLANK_LINES = """\
+    if (raw.startswith(b"\\n") or (np.frombuffer(raw, np.uint16, len(raw) // 2) == 0x0A0A).any()
+            or (np.frombuffer(raw, np.uint16, (len(raw) - 1) // 2, 1) == 0x0A0A).any()):
+        return None
+"""
 
 CATALOGUE = (
     Mutant("cache key of the target alone", ENGINE,
@@ -154,6 +159,18 @@ CATALOGUE = (
     Mutant("search_batch keeps int64 keys at a product of 2**63", SEARCH,
            "(int(keys[-1]) - int(keys[0])) >= 2**63:",
            "(int(keys[-1]) - int(keys[0])) > 2**63:", ("tests/test_search.py",)),
+    # the one-pass load: each check keeps a text the line loop reads otherwise off np.fromstring
+    Mutant("the one-pass load allows blank lines", DATASET, BLANK_LINES, "",
+           ("tests/test_dataset.py::test_load_matches_the_line_loop",)),
+    Mutant("the one-pass load counts no signs", DATASET,
+           " or neg != len(signs) or ",
+           " or ", ("tests/test_dataset.py::test_a_sign_that_numpy_flips_sends_the_text_to_the_loop",)),
+    Mutant("the one-pass load takes a key of 10**18", DATASET,
+           "_BOUND = 10**18 - 1",
+           "_BOUND = 10**18", ("tests/test_dataset.py::test_other_literals_take_the_line_loop",)),
+    Mutant("the one-pass length sum is one short", DATASET,
+           "2 * n + neg + wide != len(raw)",
+           "2 * n + neg + wide - 1 != len(raw)", ("tests/test_dataset.py::test_canonical_text_takes_the_one_pass",)),
     Mutant("the range error skips a value of INT64_MIN", DATASET,
            "not INT64_MIN <= int(v) <= INT64_MAX",
            "not INT64_MIN < int(v) <= INT64_MAX", ("tests/test_dataset.py",)),
