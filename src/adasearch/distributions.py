@@ -137,6 +137,8 @@ class QuerySpec:
             raise InvalidSpec(f"unknown query mode: {self.mode!r}")
         if not 0.0 <= self.repeat_fraction <= 1.0:
             raise InvalidSpec("repeat_fraction must be in [0, 1]")
+        if self.repeat_fraction and self.mode != REPEATED:  # refused, not ignored
+            raise InvalidSpec(f"{self.mode} queries read no repeat_fraction (got {self.repeat_fraction})")
 
 
 def generate_queries(ds: SortedDataset, qs: QuerySpec) -> list[int]:

@@ -1,40 +1,33 @@
-"""Distribution statistics and algorithm selection.
+"""Algorithm selection by a probe trial.
 
-The uniformity score is the coefficient of variation (CV) of consecutive
-gaps: 0 for an arithmetic progression, around 1 for uniform-random keys,
-and much larger for clustered or geometric data. It is scale-free, so the
-choice is invariant under positive affine key transforms.
+A probe count is the machine-independent cost of a search, so the selector
+measures it: both kernels search the same evenly strided member keys, and
+interpolation search is chosen iff it makes fewer probes in total. Every
+probe depends only on the keys' order and on floor quotients of their
+differences, so the choice is invariant under positive affine transforms.
 """
 
 from __future__ import annotations
 
-import math
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import SortedDataset
-from .search import BINARY, INTERPOLATION
+from .search import BINARY, INTERPOLATION, search_batch
 
 TOO_SMALL = "too_small"
-UNIFORM_ENOUGH = "uniform_enough"
-TOO_IRREGULAR = "too_irregular"
-DEGENERATE = "degenerate"
+FEWER_PROBES = "fewer_probes"
+NOT_FEWER_PROBES = "not_fewer_probes"
 
-MIN_INTERP_LEN = 16  # shorter datasets get binary search
-MAX_GAP_SAMPLES = 4096  # more gaps than this are sampled at an even stride
-TAU = 1.0  # scores up to this pick interpolation; uniform-random keys score about 1
+MIN_INTERP_LEN = 16  # shorter datasets get binary search, untried
+TRIAL_KEYS = 64  # member keys each kernel searches in the trial
 
 
 class DistributionStats(NamedTuple):
     n: int
-    min_value: int
-    max_value: int
-    gap_mean: float
-    gap_std: float
-    uniformity_score: float
-    sampled: bool
+    binary_probes: float  # mean probes a kernel made on the trial keys; 0.0 untried
+    interpolation_probes: float
 
 
 class AlgorithmChoice(NamedTuple):
@@ -43,38 +36,25 @@ class AlgorithmChoice(NamedTuple):
 
 
 def compute_stats(ds: SortedDataset) -> DistributionStats:
-    """Gap statistics of a dataset over at most MAX_GAP_SAMPLES evenly
-    strided gaps: every gap when they fit, otherwise a deterministic sample
-    so analysis cost stays bounded."""
+    """Each kernel's mean probe count over the TRIAL_KEYS keys at indices
+    i * (n - 1) // (TRIAL_KEYS - 1), from the first key to the last; no
+    trial below MIN_INTERP_LEN keys."""
     a = ds.array
     n = len(a)
-    if n == 0:
-        return DistributionStats(0, 0, 0, 0.0, 0.0, 0.0, False)
-    if n == 1:
-        v = int(a[0])
-        return DistributionStats(1, v, v, 0.0, 0.0, 0.0, False)
-
-    total_gaps = n - 1
-    k = min(total_gaps, MAX_GAP_SAMPLES)
-    # gap i itself when every gap fits (k == total_gaps), else every total_gaps/k-th gap
-    j = np.arange(0, total_gaps * k, total_gaps) // k
-    u = a.view(np.uint64)  # a gap reaches 2**64 - 1, exact as a uint64 difference
-    gaps = u[j + 1] - u[j]
-    mean = math.fsum(gaps.tolist()) / k
-    # pow(d, 2) is libm's, and numpy's d * d rounds some squares differently
-    var = math.fsum(map(pow, (gaps - mean).tolist(), repeat(2))) / k
-    std = math.sqrt(var)
-    score = std / mean if mean > 0 else 0.0
-    return DistributionStats(n, int(a[0]), int(a[-1]), mean, std, score, k < total_gaps)
+    if n < MIN_INTERP_LEN:
+        return DistributionStats(n, 0.0, 0.0)
+    keys = a[np.arange(TRIAL_KEYS) * (n - 1) // (TRIAL_KEYS - 1)]
+    probes = [search_batch(a, keys, kernel)[1].sum() for kernel in (BINARY, INTERPOLATION)]
+    # exact means, which compare as the sums do: the divisor is a power of two
+    return DistributionStats(n, *(int(p) / TRIAL_KEYS for p in probes))
 
 
 def choose_algorithm(stats: DistributionStats) -> AlgorithmChoice:
-    """Decision table: too-short datasets and degenerate (all-equal) key sets
-    get binary search; otherwise the uniformity score against TAU decides."""
+    """Binary search for datasets too short to try; otherwise interpolation
+    search iff it made fewer trial probes. A tie, all-equal keys among them
+    (one probe each), goes to binary search."""
     if stats.n < MIN_INTERP_LEN:
         return AlgorithmChoice(BINARY, TOO_SMALL)
-    if stats.gap_mean == 0:
-        return AlgorithmChoice(BINARY, DEGENERATE)
-    if stats.uniformity_score <= TAU:
-        return AlgorithmChoice(INTERPOLATION, UNIFORM_ENOUGH)
-    return AlgorithmChoice(BINARY, TOO_IRREGULAR)
+    if stats.interpolation_probes < stats.binary_probes:
+        return AlgorithmChoice(INTERPOLATION, FEWER_PROBES)
+    return AlgorithmChoice(BINARY, NOT_FEWER_PROBES)

@@ -110,6 +110,16 @@ def test_bench_invalid_cell_spec_names_its_cell(capsys, flags, message):
     assert err == f"adasearch: data error: suite cell {message}\n"
 
 
+@pytest.mark.parametrize("mode", ["members", "mixed"])
+def test_bench_repeat_fraction_outside_repeated_mode_is_data_error(capsys, mode):
+    # only repeated streams read the fraction; elsewhere it is refused, not ignored
+    code, out, err = run(capsys, "bench", "--seed", "1", "--sizes", "256", "--distributions", "uniform",
+                         "--algorithms", "binary", "--query-mode", mode, "--repeat-fraction", "0.9")
+    assert (code, out) == (2, "")
+    assert err == (f"adasearch: data error: suite cell (uniform, n=256): "
+                   f"{mode} queries read no repeat_fraction (got 0.9)\n")
+
+
 def test_gen_overflowing_draws_are_data_error(tmp_path, capsys):
     out = tmp_path / "ds.txt"
     for flags in (("--kind", "exponential", "--scale", "1e30"),
@@ -143,7 +153,7 @@ def test_search_invalid_cache_size_is_usage_error(tmp_path, capsys):
 
 
 def test_tau_is_an_unrecognised_argument(tmp_path, capsys):
-    # the selector's threshold is the constant TAU, a flag on neither command
+    # the selector has no threshold to set, on either command
     ds = tmp_path / "ds.txt"
     ds.write_text("1\n5\n9\n")
     for argv in (("search", str(ds), "5", "--tau", "1"), ("bench", "--seed", "1", "--tau", "1")):

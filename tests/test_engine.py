@@ -14,7 +14,7 @@ from adasearch import (
     load_dataset,
 )
 from adasearch.engine import CACHE, CACHE_CAPACITY
-from adasearch.selector import TOO_SMALL, UNIFORM_ENOUGH, compute_stats
+from adasearch.selector import FEWER_PROBES, TOO_SMALL, compute_stats
 
 
 @pytest.fixture
@@ -49,7 +49,7 @@ class TestRegister:
         report = e.report()
         assert 0 < hits < 1000 and report.cache.misses == 1000 - hits
         assert report.registrations == (reg,) and e.report().registrations[0] is reg
-        assert (reg.dataset, reg.stats, reg.choice) == (ds, compute_stats(ds), (INTERPOLATION, UNIFORM_ENOUGH))
+        assert (reg.dataset, reg.stats, reg.choice) == (ds, compute_stats(ds), (INTERPOLATION, FEWER_PROBES))
 
     def test_reregistration_memoized(self, tmp_path):
         e = SearchEngine()
@@ -186,7 +186,7 @@ class TestEngineReport:
         r = e.report()
         assert r.registrations == (small, large)  # in registration order, each once
         assert [(reg.stats.n, reg.choice) for reg in r.registrations] == \
-               [(10, (BINARY, TOO_SMALL)), (45, (INTERPOLATION, UNIFORM_ENOUGH))]
+               [(10, (BINARY, TOO_SMALL)), (45, (INTERPOLATION, FEWER_PROBES))]
 
 
 def test_correctness_under_adaptivity_randomized():

@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 from adasearch import (
     SortedDataset,
     binary_search,
+    choose_algorithm,
+    compute_stats,
     interpolation_search,
     linear_search,
 )
-from adasearch.search import INTERPOLATION, search_batch
+from adasearch.search import BINARY, INTERPOLATION, search_batch
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
@@ -174,6 +176,21 @@ class TestInterpolationSearch:
         index, probes = search_batch(data.array, targets, INTERPOLATION)
         assert index.tolist() == targets
         assert probes.max() <= 42
+
+    @settings(max_examples=300, deadline=None)
+    @given(adversarial_cases())
+    def test_adversarial_families_pick_binary_or_stay_within_the_bound(self, case):
+        data, targets = case
+        algorithm = choose_algorithm(compute_stats(data)).algorithm
+        probes = search_batch(data.array, targets, algorithm)[1]
+        assert algorithm == BINARY or probes.max() <= 2 * len(data).bit_length()
+
+    def test_the_selector_sends_the_outlier_key_to_binary(self):
+        # on the trial keys the guard's fallback costs interpolation about
+        # twice binary's probes
+        s = compute_stats(SortedDataset.from_values(np.append(np.arange(2**20 - 1), 2**62)))
+        assert s.interpolation_probes > s.binary_probes
+        assert choose_algorithm(s).algorithm == BINARY
 
     def test_batch_keys_whose_product_reaches_2_63(self):
         # (n - 1) * (max - min) is exactly 2**63, past int64: the batch computes in Python ints

@@ -102,12 +102,17 @@ CATALOGUE = (
     Mutant("a data error exits as a usage error", CLI,
            "        return EXIT_DATA\n",
            "        return EXIT_USAGE\n", ("tests/test_cli.py",)),
-    Mutant("a score equal to TAU picks binary", SELECTOR,
-           "if stats.uniformity_score <= TAU:",
-           "if stats.uniformity_score < TAU:", ("tests/test_selector.py",)),
     Mutant("a dataset at the length floor picks binary", SELECTOR,
            "if stats.n < MIN_INTERP_LEN:",
            "if stats.n <= MIN_INTERP_LEN:", ("tests/test_selector.py",)),
+    Mutant("a tie picks interpolation", SELECTOR,
+           "if stats.interpolation_probes < stats.binary_probes:",
+           "if stats.interpolation_probes <= stats.binary_probes:",
+           ("tests/test_selector.py::TestChooseAlgorithm::test_a_tie_picks_binary",)),
+    Mutant("the trial reads only the first 64 keys", SELECTOR,
+           "keys = a[np.arange(TRIAL_KEYS) * (n - 1) // (TRIAL_KEYS - 1)]",
+           "keys = a[np.arange(TRIAL_KEYS) % n]",
+           ("tests/test_selector.py::TestComputeStats::test_trial_keys_span_the_dataset",)),
     Mutant("equal endpoints probe the high end", SEARCH,
            "            visited.append(lo)\n            index = lo\n",
            "            visited.append(hi)\n            index = hi\n", ("tests/test_records.py",)),
@@ -125,9 +130,6 @@ CATALOGUE = (
     Mutant("search_batch's linear find probes index keys", SEARCH,
            "np.where(hit, first + 1, n)",
            "np.where(hit, first, n)", ("tests/test_records.py",)),
-    Mutant("compute_stats squares as d * d", SELECTOR,
-           "map(pow, (gaps - mean).tolist(), repeat(2))",
-           "(d * d for d in (gaps - mean).tolist())", ("tests/test_selector.py",)),
     Mutant("bench accepts a cache of no results", BENCH,
            "        if self.cache_capacity < 1:\n",
            "        if self.cache_capacity < 0:\n", ("tests/test_cli.py",)),
