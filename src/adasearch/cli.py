@@ -48,8 +48,8 @@ def build_parser() -> _Parser:
     gen.add_argument("--clusters", type=int, default=None)
     gen.add_argument("--spread", type=float, default=None)
     gen.add_argument("--scale", type=float, default=None, help="exponential scale")
-    gen.add_argument("--zipf-s", type=float, default=None, help="zipf exponent")
-    gen.add_argument("--universe", type=int, default=None, help="zipf universe size")
+    gen.add_argument("--zipf-s", dest="s", metavar="ZIPF_S", type=float, help="zipf exponent")
+    gen.add_argument("--universe", dest="m", metavar="UNIVERSE", type=int, help="zipf universe size")
 
     search = sub.add_parser("search", help="search a dataset file for one target")
     search.add_argument("dataset", help="path to a line-delimited integer dataset")
@@ -85,12 +85,8 @@ def _write_out(path: str, write) -> None:
 
 
 def _cmd_gen(args) -> int:
-    params = {}
-    for key, val in (("lo", args.lo), ("hi", args.hi), ("clusters", args.clusters),
-                     ("spread", args.spread), ("scale", args.scale),
-                     ("s", args.zipf_s), ("m", args.universe)):
-        if val is not None:
-            params[key] = val
+    params = {k: v for k in ("lo", "hi", "clusters", "spread", "scale", "s", "m")
+              if (v := getattr(args, k)) is not None}
     seed = args.seed if args.seed is not None else secrets.randbits(63)
     if args.seed is None:
         print(f"seed: {seed}", file=sys.stderr)

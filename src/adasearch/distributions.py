@@ -25,6 +25,7 @@ PARAMS = {UNIFORM: ("lo", "hi"), CLUSTERED: ("lo", "hi", "clusters", "spread"),
           EXPONENTIAL: ("scale",), ZIPF: ("s", "m")}
 KINDS = tuple(PARAMS)
 MAX_ZIPF_UNIVERSE = 2**24  # zipf holds 24 bytes of weights per value of its universe
+MAX_LEN = np.iinfo(np.intp).max // 8  # the most int64 values one numpy array can hold
 
 
 class InvalidSpec(ValueError):
@@ -45,6 +46,8 @@ class DistributionSpec:
             raise InvalidSpec(f"unknown distribution kind: {self.kind!r}")
         if self.n < 0:
             raise InvalidSpec("n must be >= 0")
+        if self.n > MAX_LEN:
+            raise InvalidSpec(f"n must be <= {MAX_LEN}, the most int64 keys numpy can allocate")
         unread = sorted(set(self.params) - set(PARAMS[self.kind]))
         if unread:
             raise InvalidSpec(f"{self.kind} reads only {', '.join(PARAMS[self.kind])}, "
@@ -133,6 +136,8 @@ class QuerySpec:
     def __post_init__(self):
         if self.count < 0:
             raise InvalidSpec("count must be >= 0")
+        if self.count > MAX_LEN:
+            raise InvalidSpec(f"count must be <= {MAX_LEN}, the most queries numpy can allocate")
         if self.mode not in QUERY_MODES:
             raise InvalidSpec(f"unknown query mode: {self.mode!r}")
         if not 0.0 <= self.repeat_fraction <= 1.0:

@@ -6,8 +6,8 @@ compared against the target; the interpolation loop's reads of its window's
 endpoints are not probes. After G = n.bit_length() probes, interpolation
 search bisects (the guard), so it makes at most 2G = 2(floor(log2 n) + 1)
 probes. Every kernel takes its target through operator.index, so a float
-raises TypeError. search_batch gives the kernels' indices and probe counts for
-a whole vector of targets.
+raises TypeError. search_batch, the bench suite's batch kernel, gives every
+target's index and probe count at once; the selector's trial runs the scalar kernels.
 """
 
 from __future__ import annotations

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
 from .dataset import SortedDataset
-from .search import BINARY, INTERPOLATION, search_batch
+from .search import BINARY, INTERPOLATION, binary_search, interpolation_search
 
 TOO_SMALL = "too_small"
 FEWER_PROBES = "fewer_probes"
@@ -37,16 +35,15 @@ class AlgorithmChoice(NamedTuple):
 
 def compute_stats(ds: SortedDataset) -> DistributionStats:
     """Each kernel's mean probe count over the TRIAL_KEYS keys at indices
-    i * (n - 1) // (TRIAL_KEYS - 1), from the first key to the last; no
-    trial below MIN_INTERP_LEN keys."""
-    a = ds.array
-    n = len(a)
+    i * (n - 1) // (TRIAL_KEYS - 1), from the first key to the last, by the
+    scalar kernels the engine serves with; no trial below MIN_INTERP_LEN keys."""
+    n = len(ds)
     if n < MIN_INTERP_LEN:
         return DistributionStats(n, 0.0, 0.0)
-    keys = a[np.arange(TRIAL_KEYS) * (n - 1) // (TRIAL_KEYS - 1)]
-    probes = [search_batch(a, keys, kernel)[1].sum() for kernel in (BINARY, INTERPOLATION)]
+    keys = [ds.values[i * (n - 1) // (TRIAL_KEYS - 1)] for i in range(TRIAL_KEYS)]
     # exact means, which compare as the sums do: the divisor is a power of two
-    return DistributionStats(n, *(int(p) / TRIAL_KEYS for p in probes))
+    return DistributionStats(n, *(sum(kernel(ds, k).trace.probes for k in keys) / TRIAL_KEYS
+                                  for kernel in (binary_search, interpolation_search)))
 
 
 def choose_algorithm(stats: DistributionStats) -> AlgorithmChoice:

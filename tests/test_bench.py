@@ -37,7 +37,7 @@ from adasearch.bench import (
 )
 from adasearch.cli import main
 from adasearch.dataset import INT64_MAX, INT64_MIN
-from adasearch.distributions import KINDS, MAX_ZIPF_UNIVERSE, PARAMS, QUERY_MODES, _to_int64
+from adasearch.distributions import KINDS, MAX_LEN, MAX_ZIPF_UNIVERSE, PARAMS, QUERY_MODES, _to_int64
 from adasearch.search import BINARY, INTERPOLATION, KERNELS, LINEAR
 
 
@@ -151,6 +151,15 @@ class TestGenerate:
     def test_negative_n(self):
         with pytest.raises(InvalidSpec):
             DistributionSpec("uniform", -1, 1)
+
+    def test_lengths_past_what_numpy_can_allocate(self):
+        # MAX_LEN int64 values fill numpy's address range; one more is refused
+        # with InvalidSpec, before numpy's ValueError
+        assert DistributionSpec("uniform", MAX_LEN, 1).n == QuerySpec(MAX_LEN).count == MAX_LEN
+        with pytest.raises(InvalidSpec, match=f"^n must be <= {MAX_LEN}, "):
+            DistributionSpec("uniform", MAX_LEN + 1, 1)
+        with pytest.raises(InvalidSpec, match=f"^count must be <= {MAX_LEN}, "):
+            QuerySpec(MAX_LEN + 1)
 
 
 class TestGenerateQueries:

@@ -7,6 +7,7 @@ import pytest
 from adasearch import SortedDataset, bench, linear_search
 import adasearch.cli as cli
 from adasearch.cli import main
+from adasearch.distributions import MAX_LEN
 
 
 def run(capsys, *argv):
@@ -108,6 +109,21 @@ def test_bench_invalid_cell_spec_names_its_cell(capsys, flags, message):
                        "--algorithms", "binary", *flags)
     assert code == 2
     assert err == f"adasearch: data error: suite cell {message}\n"
+
+
+TOO_LONG = f"must be <= {MAX_LEN}, the most"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("gen", "--kind", "uniform", "--n", str(MAX_LEN + 1)), f"n {TOO_LONG} int64 keys"),
+    (("bench", "--sizes", str(MAX_LEN + 1)), f"suite cell (uniform, n={MAX_LEN + 1}): n {TOO_LONG} int64 keys"),
+    (("bench", "--sizes", "16", "--queries", str(2**62)), f"suite cell (uniform, n=16): count {TOO_LONG} queries"),
+])
+def test_a_length_numpy_cannot_allocate_is_data_error(capsys, argv, message):
+    # refused by the spec, not by numpy's "array is too big" ValueError (exit 1)
+    code, out, err = run(capsys, *argv, "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err == f"adasearch: data error: {message} numpy can allocate\n"
 
 
 @pytest.mark.parametrize("mode", ["members", "mixed"])

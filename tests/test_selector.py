@@ -1,5 +1,6 @@
 import inspect
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ from adasearch import (
     BINARY,
     INTERPOLATION,
     DistributionSpec,
+    SearchEngine,
     SortedDataset,
-    binary_search,
     choose_algorithm,
     compute_stats,
     generate,
-    interpolation_search,
 )
+from adasearch.search import search_batch
 from adasearch.selector import (
     FEWER_PROBES,
     MIN_INTERP_LEN,
@@ -27,15 +28,15 @@ from adasearch.selector import (
 
 
 def stats_reference(values):
-    """The trial from the scalar kernels over Python ints: each kernel's mean
-    probe count on the keys at i * (n - 1) // 63, i = 0..63."""
+    """The trial on the batch kernels: each kernel's search_batch probe sum
+    on the keys at i * (n - 1) // 63, i = 0..63, over 64. The selector runs
+    the scalar kernels, so the two compare two implementations."""
     n = len(values)
     if n < MIN_INTERP_LEN:
         return DistributionStats(n, 0.0, 0.0)
-    ds = SortedDataset.from_values(values)
-    keys = [values[i] for i in trial_indices(n)]
-    return DistributionStats(n, *(sum(kernel(ds, k).trace.probes for k in keys) / 64
-                                  for kernel in (binary_search, interpolation_search)))
+    a = np.array(values, dtype=np.int64)
+    return DistributionStats(n, *(int(search_batch(a, a[trial_indices(n)], kernel)[1].sum()) / 64
+                                  for kernel in (BINARY, INTERPOLATION)))
 
 
 def trial_indices(n):
@@ -106,7 +107,7 @@ class TestComputeStats:
     def test_powers_of_two_score_above_one(self):
         s = compute_stats(SortedDataset.from_values([2**i for i in range(21)]))
         assert score(s) > 1
-        # frozen from the scalar kernels' pass
+        # frozen: the scalar trial and the batch reference agree on it
         assert s == stats_reference([2**i for i in range(21)]) == (21, 3.75, 6.578125)
 
     def test_singleton_degenerate(self):
@@ -184,6 +185,25 @@ class TestComputeStats:
             s = compute_stats(ds)
             assert s == stats_reference(values)
             assert compute_stats(SortedDataset.from_values(values)) == s
+
+    @pytest.mark.parametrize("kind", ["wide", "outlier"])
+    def test_register_reads_wide_keys_in_place(self, kind):
+        # (n - 1) * (max - min) >= 2**63, where search_batch converts every key
+        # to a Python int (~42-45 MB at 2**20); the trial reads 64 of them
+        n = 2**20
+        if kind == "wide":
+            ds = generate(DistributionSpec("uniform", n, 1, {"lo": -(2**62), "hi": 2**62}))
+        else:  # one far key after an arithmetic progression
+            ds = SortedDataset.from_values(np.append(np.arange(n - 1), 2**62))
+        tracemalloc.start()
+        try:
+            reg = SearchEngine().register(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert reg.stats == stats_reference(ds.array)
+        assert reg.choice.algorithm == (INTERPOLATION if kind == "wide" else BINARY)
 
 
 class TestChooseAlgorithm:

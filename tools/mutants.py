@@ -110,8 +110,8 @@ CATALOGUE = (
            "if stats.interpolation_probes <= stats.binary_probes:",
            ("tests/test_selector.py::TestChooseAlgorithm::test_a_tie_picks_binary",)),
     Mutant("the trial reads only the first 64 keys", SELECTOR,
-           "keys = a[np.arange(TRIAL_KEYS) * (n - 1) // (TRIAL_KEYS - 1)]",
-           "keys = a[np.arange(TRIAL_KEYS) % n]",
+           "ds.values[i * (n - 1) // (TRIAL_KEYS - 1)]",
+           "ds.values[i % n]",
            ("tests/test_selector.py::TestComputeStats::test_trial_keys_span_the_dataset",)),
     Mutant("equal endpoints probe the high end", SEARCH,
            "            visited.append(lo)\n            index = lo\n",
@@ -158,6 +158,9 @@ CATALOGUE = (
     Mutant("zipf refuses a universe of one", DISTRIBUTIONS,
            "not 1 <= universe <=",
            "not 1 < universe <=", ("tests/test_bench.py",)),
+    Mutant("a spec longer than numpy can allocate is accepted", DISTRIBUTIONS,
+           "        if self.n > MAX_LEN:\n",
+           "        if False:\n", ("tests/test_cli.py",)),
     Mutant("search_batch keeps int64 keys at a product of 2**63", SEARCH,
            "(int(keys[-1]) - int(keys[0])) >= 2**63:",
            "(int(keys[-1]) - int(keys[0])) > 2**63:", ("tests/test_search.py",)),
