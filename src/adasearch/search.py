@@ -13,9 +13,7 @@ target's index and probe count at once; the selector's trial runs the scalar ker
 from __future__ import annotations
 
 import operator
-from typing import NamedTuple, Optional, Sequence
-
-import numpy as np
+from typing import NamedTuple, Optional
 
 from .dataset import SortedDataset
 
@@ -126,83 +124,3 @@ KERNELS = {
     INTERPOLATION: interpolation_search,
     LINEAR: linear_search,
 }
-
-
-def int_targets(targets: Sequence[int]) -> np.ndarray:
-    """Targets through operator.index, as the kernels take them (a float raises
-    TypeError): an int64 array, or an object array if one lies beyond int64."""
-    if isinstance(targets, np.ndarray) and targets.dtype == np.int64:
-        return targets
-    t = [operator.index(x) for x in targets]
-    try:
-        return np.array(t, dtype=np.int64)
-    except OverflowError:
-        return np.array(t, dtype=object)
-
-
-def search_batch(keys: np.ndarray, targets: Sequence[int], algorithm: str) -> tuple[np.ndarray, np.ndarray]:
-    """Every target's index and probe count under one kernel, at once.
-
-    `keys` is a nondecreasing int64 array; `targets` go through int_targets.
-    Binary and interpolation search run in lockstep: each round probes every
-    live target's position with one vector read and narrows its [lo, hi]
-    window as the scalar kernel does (interpolation with its guard); a
-    finished lane stays and keeps its answer. Linear search takes the first
-    occurrence from np.searchsorted: a scan probes index + 1 keys on a find,
-    n on a miss. Returns int64 arrays (index, probes), -1 for a miss. Targets
-    beyond int64 and interpolation keys with (n - 1) * (max - min) >= 2**63
-    are held as Python ints (object arrays), exact in every compare and product.
-    """
-    n = len(keys)
-    interpolate = algorithm == INTERPOLATION
-    if interpolate:
-        if n > 1 and (n - 1) * (int(keys[-1]) - int(keys[0])) >= 2**63:
-            keys = keys.astype(object)
-    elif algorithm not in (BINARY, LINEAR):
-        raise ValueError(f"no batch kernel for {algorithm!r}")
-    t = int_targets(targets)
-    if algorithm == LINEAR:
-        first = np.searchsorted(keys, t)
-        hit = first < n
-        hit[hit] = keys[first[hit]] == t[hit]
-        return np.where(hit, first, -1), np.where(hit, first + 1, n)
-    m = len(t)
-    index, probes = np.full(m, -1, dtype=np.int64), np.zeros(m, dtype=np.int64)
-    if not n:
-        return index, probes
-    lo, hi = np.zeros(m, dtype=np.int64), np.full(m, n - 1, dtype=np.int64)
-    if not interpolate:
-        # a hit leaves lo = pos + 1, hi = pos - 1 and a miss an empty window whose
-        # midpoint key is not t; later rounds keep both windows' midpoints
-        while True:
-            pos = (lo + hi) >> 1
-            live = lo <= hi
-            if not live.any():
-                return np.where(keys[pos] == t, pos, -1), probes
-            probes += live
-            v = keys[pos]
-            lo = np.where(v <= t, pos + 1, lo)
-            hi = np.where(v >= t, pos - 1, hi)
-    # a window whose end keys enclose t never empties; a lane leaves `live`
-    # on a hit or when t leaves that range, and its window is not moved again
-    guard, rounds, live = n.bit_length(), 0, np.ones(m, dtype=bool)
-    while True:
-        vl, vh = keys[lo], keys[hi]
-        live &= (vl <= t) & (t <= vh)
-        if not live.any():
-            return index, probes
-        probes += live
-        # equal endpoints leave t == vl, so pos == lo: the scalar kernel's single
-        # probe of the low end; every live lane has made `rounds` probes, as the guard counts
-        if rounds < guard:
-            d = np.where(live, t, vl) - vl  # 0 for a finished lane: pos = lo
-            pos = (lo + (hi - lo) * d // np.maximum(vh - vl, 1)).astype(np.int64, copy=False)
-        else:
-            pos = np.where(vl == vh, lo, (lo + hi) >> 1)
-        rounds += 1
-        v = keys[pos]
-        hit = live & (v == t)
-        index = np.where(hit, pos, index)
-        live ^= hit
-        lo = np.where(live & (v < t), pos + 1, lo)
-        hi = np.where(live & (v > t), pos - 1, hi)

@@ -22,14 +22,13 @@ from adasearch import (
     interpolation_search,
     linear_search,
 )
+from adasearch.bench import int_targets, search_batch
 from adasearch.search import (
     BINARY,
     INTERPOLATION,
     LINEAR,
     ProbeTrace,
     SearchOutcome,
-    int_targets,
-    search_batch,
 )
 
 INT64_MIN = -(2**63)

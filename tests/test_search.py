@@ -13,7 +13,8 @@ from adasearch import (
     interpolation_search,
     linear_search,
 )
-from adasearch.search import BINARY, INTERPOLATION, search_batch
+from adasearch.bench import search_batch
+from adasearch.search import BINARY, INTERPOLATION
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 

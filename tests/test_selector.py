@@ -16,7 +16,7 @@ from adasearch import (
     compute_stats,
     generate,
 )
-from adasearch.search import search_batch
+from adasearch.bench import search_batch
 from adasearch.selector import (
     FEWER_PROBES,
     MIN_INTERP_LEN,

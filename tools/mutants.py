@@ -120,14 +120,14 @@ CATALOGUE = (
     Mutant("no interpolation guard in the scalar loop", SEARCH,
            "if len(visited) < guard else",
            "if True else", ("tests/test_search.py",)),
-    Mutant("no interpolation guard in search_batch", SEARCH,
+    Mutant("no interpolation guard in search_batch", BENCH,
            "        if rounds < guard:\n",
            "        if True:\n", ("tests/test_search.py",)),
     Mutant("binary records a probe only on a miss", SEARCH,
            "        visited.append(mid)\n        if v == target:\n            index = mid\n            break\n",
            "        if v == target:\n            index = mid\n            break\n        visited.append(mid)\n",
            ("tests/test_search.py",)),
-    Mutant("search_batch's linear find probes index keys", SEARCH,
+    Mutant("search_batch's linear find probes index keys", BENCH,
            "np.where(hit, first + 1, n)",
            "np.where(hit, first, n)", ("tests/test_records.py",)),
     Mutant("bench accepts a cache of no results", BENCH,
@@ -161,7 +161,7 @@ CATALOGUE = (
     Mutant("a spec longer than numpy can allocate is accepted", DISTRIBUTIONS,
            "        if self.n > MAX_LEN:\n",
            "        if False:\n", ("tests/test_cli.py",)),
-    Mutant("search_batch keeps int64 keys at a product of 2**63", SEARCH,
+    Mutant("search_batch keeps int64 keys at a product of 2**63", BENCH,
            "(int(keys[-1]) - int(keys[0])) >= 2**63:",
            "(int(keys[-1]) - int(keys[0])) > 2**63:", ("tests/test_search.py",)),
     # the one-pass load: each check keeps a text the line loop reads otherwise off np.fromstring
