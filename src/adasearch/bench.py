@@ -3,7 +3,9 @@
 A trial runs one algorithm against one generated dataset and query stream and
 aggregates probe counts, found rate, cache hit rate, and wall time. Within a
 suite cell the competing algorithms receive the identical dataset and query
-stream, so probe differences are attributable to the algorithm alone.
+stream, so probe differences are attributable to the algorithm alone. The
+suite's batch path is all here: int_targets, the lockstep search_batch over the
+keys as given, and first_occurrence, the spot check's oracle independent of it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import SortedDataset
+from .dataset import INT64_MAX, INT64_MIN, SortedDataset
 from .distributions import (
     DistributionSpec,
     EXPONENTIAL,
@@ -108,26 +110,24 @@ def int_targets(targets: Sequence[int]) -> np.ndarray:
 def search_batch(keys: np.ndarray, targets: Sequence[int], algorithm: str) -> tuple[np.ndarray, np.ndarray]:
     """Every target's index and probe count under one kernel, at once.
 
-    `keys` is a nondecreasing int64 array; `targets` go through int_targets.
-    Binary and interpolation search run in lockstep: each round probes every
-    live target's position with one vector read and narrows its [lo, hi]
-    window as the scalar kernel does (interpolation with its guard); a
-    finished lane stays and keeps its answer. Linear search takes the first
-    occurrence from np.searchsorted: a scan probes index + 1 keys on a find,
-    n on a miss. Returns int64 arrays (index, probes), -1 for a miss. Targets
-    beyond int64 and interpolation keys with (n - 1) * (max - min) >= 2**63
-    are held as Python ints (object arrays), exact in every compare and product.
+    `keys` is a nondecreasing int64 array, read as given (never copied or
+    cast); `targets` go through int_targets. Binary and interpolation search
+    run in lockstep: each round probes every live target's position with one
+    vector read and narrows its [lo, hi] window as the scalar kernel does
+    (interpolation with its guard); a finished lane stays and keeps its
+    answer. Linear search takes the first occurrence from np.searchsorted: a
+    scan probes index + 1 keys on a find, n on a miss. Returns int64 arrays
+    (index, probes), -1 for a miss. Python ints hold only targets beyond int64
+    and, on keys with (n - 1) * (max - min) >= 2**63, interpolation's window ends.
     """
     n = len(keys)
-    interpolate = algorithm == INTERPOLATION
-    if interpolate:
-        if n > 1 and (n - 1) * (int(keys[-1]) - int(keys[0])) >= 2**63:
-            keys = keys.astype(object)
-    elif algorithm not in (BINARY, LINEAR):
+    if algorithm not in (BINARY, INTERPOLATION, LINEAR):
         raise ValueError(f"no batch kernel for {algorithm!r}")
+    wide = n > 1 and (n - 1) * (int(keys[-1]) - int(keys[0])) >= 2**63
     t = int_targets(targets)
     if algorithm == LINEAR:
-        first = np.searchsorted(keys, t)
+        # bisected within int64, so the keys stay int64; a target beyond it matches no key
+        first = np.searchsorted(keys, t.clip(INT64_MIN, INT64_MAX).astype(np.int64, copy=False))
         hit = first < n
         hit[hit] = keys[first[hit]] == t[hit]
         return np.where(hit, first, -1), np.where(hit, first + 1, n)
@@ -136,7 +136,7 @@ def search_batch(keys: np.ndarray, targets: Sequence[int], algorithm: str) -> tu
     if not n:
         return index, probes
     lo, hi = np.zeros(m, dtype=np.int64), np.full(m, n - 1, dtype=np.int64)
-    if not interpolate:
+    if algorithm == BINARY:
         # a hit leaves lo = pos + 1, hi = pos - 1 and a miss an empty window whose
         # midpoint key is not t; later rounds keep both windows' midpoints
         while True:
@@ -153,6 +153,8 @@ def search_batch(keys: np.ndarray, targets: Sequence[int], algorithm: str) -> tu
     guard, rounds, live = n.bit_length(), 0, np.ones(m, dtype=bool)
     while True:
         vl, vh = keys[lo], keys[hi]
+        if wide:  # the window ends as Python ints, exact in the position's difference and product
+            vl, vh = vl.astype(object), vh.astype(object)
         live &= (vl <= t) & (t <= vh)
         if not live.any():
             return index, probes
@@ -183,11 +185,10 @@ def run_trial(
 ) -> TrialRecord:
     """Execute one benchmark cell. A pre-generated dataset/target stream may
     be passed in so paired trials share them exactly; an int64 target array
-    is used as it is, so run_suite converts each stream once.
-
-    Every trial runs its kernel over all targets at once
-    (search.search_batch); adaptive runs the kernel SearchEngine.register
-    chooses and reports the hit rate of a cache of cache_capacity results."""
+    is used as it is, so run_suite converts each stream once. The kernel runs
+    over all targets in one search_batch call; adaptive runs the kernel
+    SearchEngine.register chooses and reports the hit rate of a cache of
+    cache_capacity results."""
     if algorithm not in TRIAL_ALGORITHMS:
         raise ValueError(f"unknown trial algorithm: {algorithm!r}")
     ds = dataset if dataset is not None else generate(spec)
@@ -266,7 +267,7 @@ def run_suite(cfg: SuiteConfig) -> list[TrialRecord]:
                 qs = QuerySpec(cfg.queries, cfg.query_mode, cfg.repeat_fraction, q_seed)
                 ds = generate(spec)
                 targets = int_targets(generate_queries(ds, qs))
-            except InvalidSpec as exc:
+            except (InvalidSpec, MemoryError) as exc:
                 raise InvalidSpec(f"suite cell ({kind}, n={n}): {exc}") from exc
             for algorithm in cfg.algorithms:
                 records.append(run_trial(spec, qs, algorithm, dataset=ds, targets=targets,

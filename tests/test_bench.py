@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from adasearch import (
     compute_stats,
     generate,
     generate_queries,
+    interpolation_search,
     linear_search,
 )
 import adasearch.bench as bench
@@ -34,6 +36,7 @@ from adasearch.bench import (
     first_occurrence,
     run_suite,
     run_trial,
+    search_batch,
 )
 from adasearch.cli import main
 from adasearch.dataset import INT64_MAX, INT64_MIN
@@ -345,6 +348,27 @@ class TestBatchTrial:
         targets = list(ds.values) + [-(2**62) - 1, 5, 2**62 - 3, 2**62 + 1] + list(ds.values[:9])
         self.check(4, DistributionSpec("uniform", len(ds), 1),
                    QuerySpec(len(targets), seed=1), ds, targets)
+
+    def test_wide_keys_are_read_in_place(self):
+        # 2**20 keys over +-2**62, so (n - 1) * (max - min) >= 2**63: each round
+        # takes its m window ends as Python ints, not all n keys (45 MB at 2**20)
+        spec = DistributionSpec("uniform", 2**20, 1, {"lo": -(2**62), "hi": 2**62})
+        ds, qs = generate(spec), QuerySpec(1000, "mixed", seed=2)
+        run_trial(DistributionSpec("uniform", 16, 1), qs, INTERPOLATION)  # numpy's lazy imports
+        tracemalloc.start()
+        try:
+            rec = run_trial(spec, qs, INTERPOLATION, dataset=ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        targets = generate_queries(ds, qs)
+        index, probes = search_batch(ds.array, targets, INTERPOLATION)
+        outs = [interpolation_search(ds, t) for t in targets]
+        assert index.tolist() == [-1 if o.index is None else o.index for o in outs]
+        assert probes.tolist() == [o.trace.probes for o in outs]
+        assert rec.mean_probes == sum(o.trace.probes for o in outs) / len(outs)
+        assert 0 < rec.found_rate < 1
 
     def test_targets_beyond_int64(self):
         ds = SortedDataset.from_values(list(range(0, 200, 3)))

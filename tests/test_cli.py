@@ -126,6 +126,20 @@ def test_a_length_numpy_cannot_allocate_is_data_error(capsys, argv, message):
     assert err == f"adasearch: data error: {message} numpy can allocate\n"
 
 
+@pytest.mark.parametrize("name", ["generate", "generate_queries"])
+def test_bench_memory_error_names_its_cell(capsys, monkeypatch, name):
+    # a length below MAX_LEN that numpy still cannot allocate; raised here, since
+    # a host that overcommits memory may grant the real request
+    def unable(*args):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(bench, name, unable)
+    code, out, err = run(capsys, "bench", "--seed", "1", "--sizes", "16", "--distributions", "uniform",
+                         "--algorithms", "binary")
+    assert (code, out) == (2, "")
+    assert err == "adasearch: data error: suite cell (uniform, n=16): Unable to allocate 8.00 TiB for an array\n"
+
+
 @pytest.mark.parametrize("mode", ["members", "mixed"])
 def test_bench_repeat_fraction_outside_repeated_mode_is_data_error(capsys, mode):
     # only repeated streams read the fraction; elsewhere it is refused, not ignored

@@ -10,6 +10,8 @@ makes more than G = n.bit_length() probes, where the guarded kernel bisects:
 there the reference fixes the first G visited indices and the found-ness.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -213,6 +215,22 @@ def test_int_targets_takes_each_target_as_the_kernels_do():
         for floats in ([5.5], [1, 3.0], np.array([3.0])):  # never truncated to an int64
             with pytest.raises(TypeError):
                 search_batch(ds.array, floats, algorithm)
+
+
+def test_a_linear_target_beyond_int64_leaves_the_keys_int64():
+    # bisected at its int64 clip, so np.searchsorted casts no key to an
+    # object (42 MB at 2**20); the unclipped target still misses, with n probes
+    keys = np.arange(2**20)
+    tracemalloc.start()
+    try:
+        index, probes = search_batch(keys, [5, 2**63], LINEAR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    outs = [linear_search(SortedDataset.from_values(keys), t) for t in (5, 2**63)]
+    assert index.tolist() == [-1 if o.index is None else o.index for o in outs] == [5, -1]
+    assert probes.tolist() == [o.trace.probes for o in outs] == [6, 2**20]
 
 
 def test_search_batch_rejects_an_algorithm_without_a_kernel():

@@ -188,8 +188,8 @@ class TestComputeStats:
 
     @pytest.mark.parametrize("kind", ["wide", "outlier"])
     def test_register_reads_wide_keys_in_place(self, kind):
-        # (n - 1) * (max - min) >= 2**63, where search_batch converts every key
-        # to a Python int (~42-45 MB at 2**20); the trial reads 64 of them
+        # (n - 1) * (max - min) >= 2**63, past int64 in the position product: the
+        # trial reads its 64 keys in place, with no Python-int copy of all 2**20
         n = 2**20
         if kind == "wide":
             ds = generate(DistributionSpec("uniform", n, 1, {"lo": -(2**62), "hi": 2**62}))

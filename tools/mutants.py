@@ -130,6 +130,9 @@ CATALOGUE = (
     Mutant("search_batch's linear find probes index keys", BENCH,
            "np.where(hit, first + 1, n)",
            "np.where(hit, first, n)", ("tests/test_records.py",)),
+    Mutant("a suite cell's MemoryError loses its cell", BENCH,
+           "except (InvalidSpec, MemoryError) as exc:",
+           "except InvalidSpec as exc:", ("tests/test_cli.py",)),
     Mutant("bench accepts a cache of no results", BENCH,
            "        if self.cache_capacity < 1:\n",
            "        if self.cache_capacity < 0:\n", ("tests/test_cli.py",)),
@@ -162,8 +165,18 @@ CATALOGUE = (
            "        if self.n > MAX_LEN:\n",
            "        if False:\n", ("tests/test_cli.py",)),
     Mutant("search_batch keeps int64 keys at a product of 2**63", BENCH,
-           "(int(keys[-1]) - int(keys[0])) >= 2**63:",
-           "(int(keys[-1]) - int(keys[0])) > 2**63:", ("tests/test_search.py",)),
+           "(int(keys[-1]) - int(keys[0])) >= 2**63\n",
+           "(int(keys[-1]) - int(keys[0])) > 2**63\n", ("tests/test_search.py",)),
+    # the batch kernel reads its keys as given: Python ints only for m values, never for n keys
+    Mutant("interpolation converts every key to a Python int", BENCH,
+           "    guard, rounds, live = n.bit_length(), 0, np.ones(m, dtype=bool)\n",
+           "    keys = keys.astype(object) if wide else keys\n"
+           "    guard, rounds, live = n.bit_length(), 0, np.ones(m, dtype=bool)\n",
+           ("tests/test_bench.py::TestBatchTrial::test_wide_keys_are_read_in_place",)),
+    Mutant("the linear bisection takes unclipped targets", BENCH,
+           "np.searchsorted(keys, t.clip(INT64_MIN, INT64_MAX).astype(np.int64, copy=False))",
+           "np.searchsorted(keys, t)",
+           ("tests/test_records.py::test_a_linear_target_beyond_int64_leaves_the_keys_int64",)),
     # the one-pass load: each check keeps a text the line loop reads otherwise off np.fromstring
     Mutant("the one-pass load allows blank lines", DATASET, BLANK_LINES, "",
            ("tests/test_dataset.py::test_load_matches_the_line_loop",)),
