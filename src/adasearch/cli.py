@@ -15,8 +15,7 @@ import argparse
 import secrets
 import sys
 
-from . import bench as bench_mod
-from .bench import SuiteConfig, TRIAL_ALGORITHMS, emit_report, run_suite
+from .bench import CSV, JSONL, TABLE, SuiteConfig, TRIAL_ALGORITHMS, emit_report, run_suite
 from .dataset import DatasetError, load_dataset
 from .distributions import DistributionSpec, InvalidSpec, KINDS, QUERY_MODES, generate
 from .engine import SearchEngine
@@ -27,15 +26,8 @@ EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="adasearch")
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="adasearch")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a dataset file")
@@ -60,8 +52,7 @@ def build_parser() -> _Parser:
     bench = sub.add_parser("bench", help="run the benchmark suite")
     bench.add_argument("--seed", type=int, default=None,
                        help="suite seed; generated from entropy if absent")
-    bench.add_argument("--format", choices=(bench_mod.TABLE, bench_mod.CSV, bench_mod.JSONL),
-                       default=bench_mod.TABLE)
+    bench.add_argument("--format", choices=(TABLE, CSV, JSONL), default=TABLE)
     bench.add_argument("--out", default="-", help="report path, '-' for stdout")
     bench.add_argument("--queries", type=int, default=SuiteConfig.queries)
     bench.add_argument("--sizes", type=int, nargs="+", default=SuiteConfig.sizes)
@@ -84,18 +75,14 @@ def _write_out(path: str, write) -> None:
             write(f)
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> None:
     params = {k: v for k in ("lo", "hi", "clusters", "spread", "scale", "s", "m")
               if (v := getattr(args, k)) is not None}
-    seed = args.seed if args.seed is not None else secrets.randbits(63)
-    if args.seed is None:
-        print(f"seed: {seed}", file=sys.stderr)
-    ds = generate(DistributionSpec(args.kind, args.n, seed, params))
+    ds = generate(DistributionSpec(args.kind, args.n, args.seed, params))
     _write_out(args.out, ds.dump)
-    return 0
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> None:
     with open(args.dataset, "r", encoding="utf-8") as f:
         ds = load_dataset(f)
     # the engine chooses; one query cannot hit its cache, so the kernel runs directly
@@ -107,13 +94,9 @@ def _cmd_search(args) -> int:
     print(f"probes: {outcome.trace.probes}")
     print(f"algorithm: {used}")
     print(f"selected: {choice.algorithm} ({choice.reason})")
-    return 0
 
 
-def _cmd_bench(args) -> int:
-    seed = args.seed if args.seed is not None else secrets.randbits(63)
-    if args.seed is None:
-        print(f"seed: {seed}", file=sys.stderr)
+def _cmd_bench(args) -> None:
     cfg = SuiteConfig(
         distributions=tuple(args.distributions),
         sizes=tuple(args.sizes),
@@ -121,25 +104,23 @@ def _cmd_bench(args) -> int:
         queries=args.queries,
         query_mode=args.query_mode,
         repeat_fraction=args.repeat_fraction,
-        seed=seed,
+        seed=args.seed,
         cache_capacity=args.cache_size,
     )
     report = emit_report(run_suite(cfg), args.format)
     _write_out(args.out, lambda f: f.write(report))
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse has printed a usage error (1) or --help (0)
-        return exc.code
+    except SystemExit as exc:  # argparse has printed --help (0) or a usage error (2)
+        return exc.code and EXIT_USAGE
+    if args.command != "search" and args.seed is None:  # drawn, and printed to reproduce the run
+        args.seed = secrets.randbits(63)
+        print(f"seed: {args.seed}", file=sys.stderr)
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "search":
-            return _cmd_search(args)
-        return _cmd_bench(args)
+        {"gen": _cmd_gen, "search": _cmd_search, "bench": _cmd_bench}[args.command](args)
     # UnicodeDecodeError is a ValueError; an undecodable file is a data error
     except (DatasetError, OverflowError, InvalidSpec, OSError, UnicodeDecodeError, MemoryError) as exc:
         print(f"adasearch: data error: {exc}", file=sys.stderr)
@@ -150,6 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"adasearch: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    return 0
 
 
 if __name__ == "__main__":

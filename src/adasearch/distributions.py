@@ -90,8 +90,8 @@ def generate(spec: DistributionSpec) -> SortedDataset:
         clusters = int(p.get("clusters", 10))
         spread = float(p.get("spread", 1000.0))
         lo, hi = _key_range(p, CLUSTERED)
-        if clusters < 1 or not spread >= 0:  # NaN fails every comparison
-            raise InvalidSpec("clustered: need clusters >= 1, spread >= 0")
+        if not 1 <= clusters <= MAX_LEN or not spread >= 0:  # NaN fails every comparison
+            raise InvalidSpec(f"clustered: need 1 <= clusters <= {MAX_LEN}, spread >= 0")
         centers = rng.integers(lo, hi, size=clusters, endpoint=True, dtype=np.int64)
         assignment = rng.integers(0, clusters, size=n)
         offsets = _to_int64(np.rint(rng.normal(0.0, spread, size=n)), CLUSTERED)

@@ -104,6 +104,8 @@ class TestGenerate:
         ("zipf", {"m": 0}),
         ("zipf", {"m": MAX_ZIPF_UNIVERSE + 1}),
         ("zipf", {"m": 10**18}),
+        # refused before numpy's "array is too big" ValueError for the centres
+        ("clustered", {"clusters": MAX_LEN + 1}),
     ])
     def test_invalid_params(self, kind, params):
         # parameters are checked at n = 0 too, not only once there are keys

@@ -1,5 +1,7 @@
 import csv
 import io
+import json
+import re
 
 import numpy as np
 import pytest
@@ -159,7 +161,9 @@ def test_gen_overflowing_draws_are_data_error(tmp_path, capsys):
                   # refused by the bound on the universe before any weight is allocated
                   ("--kind", "zipf", "--universe", str(10**18)),
                   # numpy refuses the 6.94 EiB of keys before allocating any (MemoryError)
-                  ("--kind", "uniform", "--n", str(10**18))):
+                  ("--kind", "uniform", "--n", str(10**18)),
+                  # one centre a cluster: refused before numpy's "array is too big" (exit 1)
+                  ("--kind", "clustered", "--clusters", str(2**62))):
         code, _, err = run(capsys, "gen", "--n", "20", *flags, "--seed", "1", "--out", str(out))
         assert code == 2, flags
         assert "data error" in err and err.count("\n") == 1
@@ -251,6 +255,22 @@ def test_bench_prints_generated_seed(capsys):
                          "--distributions", "uniform", "--algorithms", "binary")
     assert code == 0
     assert "seed:" in err
+
+
+def test_bench_prints_one_drawn_seed_which_reproduces_the_report(capsys):
+    argv = ("bench", "--format", "jsonl", "--sizes", "128", "--queries", "10",
+            "--distributions", "uniform", "--algorithms", "binary", "adaptive")
+
+    def rows(report):
+        return [{k: v for k, v in json.loads(line).items() if k != "wall_time_ns"}
+                for line in report.splitlines()]
+
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert re.fullmatch(r"seed: \d+\n", err)
+    again, out_again, err_again = run(capsys, *argv, "--seed", err.split()[1])
+    assert (again, err_again) == (0, "")
+    assert rows(out_again) == rows(out) and len(rows(out)) == 2
 
 
 def test_gen_prints_generated_seed_which_reproduces_the_output(capsys):

@@ -15,6 +15,7 @@ from adasearch import (
 )
 from adasearch.bench import search_batch
 from adasearch.search import BINARY, INTERPOLATION
+from adasearch.selector import FEWER_PROBES, TRIAL_KEYS
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
@@ -66,6 +67,17 @@ adversarial_keys = st.one_of(
     st.lists(st.one_of(st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, INT64_MAX - 1, INT64_MAX]),
                        st.integers(INT64_MIN, INT64_MAX)), min_size=1, max_size=60).map(sorted),
 )
+
+
+def stride_steered_keys(n):
+    """n keys, n >= TRIAL_KEYS, that steer the selector's trial: the keys at its
+    stride indices s_i = i * (n - 1) // 63 lie on the line s_i * (n + 1), and a
+    segment's keys between two of them, at offsets x < L = s_{i+1} - s_i, follow
+    the steep convex curve (x / L) ** 8, plus their index, so they strictly increase."""
+    strides = [i * (n - 1) // (TRIAL_KEYS - 1) for i in range(TRIAL_KEYS)]
+    keys = [lo * n + x**8 * n // (hi - lo) ** 7 + lo + x
+            for lo, hi in zip(strides, strides[1:]) for x in range(hi - lo)]
+    return keys + [strides[-1] * (n + 1)]
 
 
 @st.composite
@@ -192,6 +204,25 @@ class TestInterpolationSearch:
         s = compute_stats(SortedDataset.from_values(np.append(np.arange(2**20 - 1), 2**62)))
         assert s.interpolation_probes > s.binary_probes
         assert choose_algorithm(s).algorithm == BINARY
+
+    @pytest.mark.parametrize("n, binary_mean", [(2**16, 15.3125), (2**20, 19.6875)])
+    def test_a_stride_steered_trial_stays_within_the_guard(self, n, binary_mean):
+        # a known weakness, pinned as it is, not a goal: the trial's keys lie on
+        # one line, so interpolation finds each in one probe and is chosen, while
+        # the keys between them cost it about 1.6 times binary's probes. Its
+        # log log n holds only on uniform keys (Perl, Itai & Avni, CACM 1978), so
+        # the guard's 2G is the only bound on a steered choice
+        keys = stride_steered_keys(n)
+        data = SortedDataset.from_values(keys)
+        stats = compute_stats(data)
+        assert (stats.binary_probes, stats.interpolation_probes) == (binary_mean, 1.0)
+        assert choose_algorithm(stats) == (INTERPOLATION, FEWER_PROBES)
+        targets = [keys[i] for i in np.random.default_rng(0).integers(0, n, 5000).tolist()]
+        served = [interpolation_search(data, t) for t in targets]
+        assert [data.values[out.index] for out in served] == targets
+        assert max(out.trace.probes for out in served) <= 2 * n.bit_length()
+        binary = sum(binary_search(data, t).trace.probes for t in targets)
+        assert sum(out.trace.probes for out in served) >= 1.5 * binary
 
     def test_batch_keys_whose_product_reaches_2_63(self):
         # (n - 1) * (max - min) is exactly 2**63, past int64: the batch computes in Python ints

@@ -102,6 +102,13 @@ CATALOGUE = (
     Mutant("a data error exits as a usage error", CLI,
            "        return EXIT_DATA\n",
            "        return EXIT_USAGE\n", ("tests/test_cli.py",)),
+    # main alone maps argparse's exit and draws an omitted seed
+    Mutant("a usage error exits with argparse's 2", CLI,
+           "        return exc.code and EXIT_USAGE\n",
+           "        return exc.code\n", ("tests/test_cli.py::test_usage_error_exit_code",)),
+    Mutant("the drawn seed is not printed", CLI,
+           '        print(f"seed: {args.seed}", file=sys.stderr)\n',
+           "", ("tests/test_cli.py",)),
     Mutant("a dataset at the length floor picks binary", SELECTOR,
            "if stats.n < MIN_INTERP_LEN:",
            "if stats.n <= MIN_INTERP_LEN:", ("tests/test_selector.py",)),
@@ -164,6 +171,9 @@ CATALOGUE = (
     Mutant("a spec longer than numpy can allocate is accepted", DISTRIBUTIONS,
            "        if self.n > MAX_LEN:\n",
            "        if False:\n", ("tests/test_cli.py",)),
+    Mutant("clusters above MAX_LEN are accepted", DISTRIBUTIONS,
+           "not 1 <= clusters <= MAX_LEN",
+           "not 1 <= clusters", ("tests/test_cli.py",)),
     Mutant("search_batch keeps int64 keys at a product of 2**63", BENCH,
            "(int(keys[-1]) - int(keys[0])) >= 2**63\n",
            "(int(keys[-1]) - int(keys[0])) > 2**63\n", ("tests/test_search.py",)),
