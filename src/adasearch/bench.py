@@ -15,6 +15,7 @@ import operator
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
+from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -178,29 +179,28 @@ def search_batch(keys: np.ndarray, targets: Sequence[int], algorithm: str) -> tu
 def run_trial(
     spec: DistributionSpec,
     query_spec: QuerySpec,
-    algorithm: str = ADAPTIVE,
-    dataset: SortedDataset | None = None,
-    targets: Sequence[int] | np.ndarray | None = None,
+    algorithm: str,
+    dataset: SortedDataset,
+    targets: Sequence[int] | np.ndarray,
     cache_capacity: int = CACHE_CAPACITY,
 ) -> TrialRecord:
-    """Execute one benchmark cell. A pre-generated dataset/target stream may
-    be passed in so paired trials share them exactly; an int64 target array
-    is used as it is, so run_suite converts each stream once. The kernel runs
-    over all targets in one search_batch call; adaptive runs the kernel
-    SearchEngine.register chooses and reports the hit rate of a cache of
-    cache_capacity results."""
+    """Execute one algorithm on a suite cell: the dataset and target stream
+    run_suite made from spec and query_spec, which every algorithm of the
+    cell shares; an int64 target array is used as it is, so run_suite
+    converts each stream once. The kernel runs over all targets in one
+    search_batch call; adaptive runs the kernel SearchEngine.register
+    chooses and reports the hit rate of a cache of cache_capacity results."""
     if algorithm not in TRIAL_ALGORITHMS:
         raise ValueError(f"unknown trial algorithm: {algorithm!r}")
-    ds = dataset if dataset is not None else generate(spec)
-    targets = int_targets(generate_queries(ds, query_spec) if targets is None else targets)
+    targets = int_targets(targets)
 
     kernel = algorithm
     cache_hit_rate: Optional[float] = None
     if algorithm == ADAPTIVE:
-        kernel = SearchEngine().register(ds).choice.algorithm
+        kernel = SearchEngine().register(dataset).choice.algorithm
         cache_hit_rate = _replay_hit_rate(cache_capacity, targets.tolist())
     t0 = time.perf_counter_ns()
-    index, probes = search_batch(ds.array, targets, kernel)
+    index, probes = search_batch(dataset.array, targets, kernel)
     wall = time.perf_counter_ns() - t0
     found = index >= 0
 
@@ -209,7 +209,7 @@ def run_trial(
         check_rng = np.random.default_rng(query_spec.seed + 0x5F07)
         k = max(1, len(targets) // 100)
         for i in check_rng.integers(0, len(targets), size=k):
-            expected = first_occurrence(ds.array, targets[i]) >= 0
+            expected = first_occurrence(dataset.array, targets[i]) >= 0
             if found[i] != expected:
                 raise SpotCheckError(
                     f"query {targets[i]}: {algorithm} found={found[i]}, oracle found={expected}")
@@ -218,7 +218,7 @@ def run_trial(
     return TrialRecord(
         algorithm=algorithm,
         distribution=spec.summary(),
-        n=len(ds),
+        n=len(dataset),
         queries=q,
         # exact integer sums, as over Python ints
         found_rate=int(np.count_nonzero(found)) / q if q else 0.0,
@@ -242,6 +242,8 @@ class SuiteConfig:
     cache_capacity: int = CACHE_CAPACITY  # behind the adaptive rows' hit rate
 
     def __post_init__(self):
+        for name in ("distributions", "sizes", "algorithms"):  # argparse gives lists
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.cache_capacity < 1:
             raise ValueError("cache_capacity must be >= 1")
 
@@ -257,21 +259,17 @@ def run_suite(cfg: SuiteConfig) -> list[TrialRecord]:
     query stream are generated once per (distribution, size) group and shared
     across algorithms. Fails fast on the first generation error."""
     records: list[TrialRecord] = []
-    cell_index = 0
-    for kind in cfg.distributions:
-        for n in cfg.sizes:
-            ds_seed, q_seed = _cell_seeds(cfg.seed, cell_index)
-            cell_index += 1
-            try:
-                spec = DistributionSpec(kind, n, ds_seed)
-                qs = QuerySpec(cfg.queries, cfg.query_mode, cfg.repeat_fraction, q_seed)
-                ds = generate(spec)
-                targets = int_targets(generate_queries(ds, qs))
-            except (InvalidSpec, MemoryError) as exc:
-                raise InvalidSpec(f"suite cell ({kind}, n={n}): {exc}") from exc
-            for algorithm in cfg.algorithms:
-                records.append(run_trial(spec, qs, algorithm, dataset=ds, targets=targets,
-                                         cache_capacity=cfg.cache_capacity))
+    for cell_index, (kind, n) in enumerate(product(cfg.distributions, cfg.sizes)):
+        ds_seed, q_seed = _cell_seeds(cfg.seed, cell_index)
+        try:
+            spec = DistributionSpec(kind, n, ds_seed)
+            qs = QuerySpec(cfg.queries, cfg.query_mode, cfg.repeat_fraction, q_seed)
+            ds = generate(spec)
+            targets = int_targets(generate_queries(ds, qs))
+        except (InvalidSpec, MemoryError) as exc:
+            raise InvalidSpec(f"suite cell ({kind}, n={n}): {exc}") from exc
+        for algorithm in cfg.algorithms:
+            records.append(run_trial(spec, qs, algorithm, ds, targets, cfg.cache_capacity))
     return records
 
 

@@ -14,10 +14,11 @@ from __future__ import annotations
 import argparse
 import secrets
 import sys
+from dataclasses import fields
 
 from .bench import CSV, JSONL, TABLE, SuiteConfig, TRIAL_ALGORITHMS, emit_report, run_suite
 from .dataset import DatasetError, load_dataset
-from .distributions import DistributionSpec, InvalidSpec, KINDS, QUERY_MODES, generate
+from .distributions import DistributionSpec, InvalidSpec, KINDS, PARAMS, QUERY_MODES, generate
 from .engine import SearchEngine
 from .search import KERNELS
 
@@ -61,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=SuiteConfig.algorithms)
     bench.add_argument("--query-mode", choices=QUERY_MODES, default=SuiteConfig.query_mode)
     bench.add_argument("--repeat-fraction", type=float, default=SuiteConfig.repeat_fraction)
-    bench.add_argument("--cache-size", type=int, default=SuiteConfig.cache_capacity,
+    bench.add_argument("--cache-size", dest="cache_capacity", metavar="CACHE_SIZE", type=int,
+                       default=SuiteConfig.cache_capacity,
                        help="result cache capacity behind the adaptive rows (default %(default)s)")
     return parser
 
@@ -76,8 +78,7 @@ def _write_out(path: str, write) -> None:
 
 
 def _cmd_gen(args) -> None:
-    params = {k: v for k in ("lo", "hi", "clusters", "spread", "scale", "s", "m")
-              if (v := getattr(args, k)) is not None}
+    params = {k: v for names in PARAMS.values() for k in names if (v := getattr(args, k)) is not None}
     ds = generate(DistributionSpec(args.kind, args.n, args.seed, params))
     _write_out(args.out, ds.dump)
 
@@ -97,16 +98,7 @@ def _cmd_search(args) -> None:
 
 
 def _cmd_bench(args) -> None:
-    cfg = SuiteConfig(
-        distributions=tuple(args.distributions),
-        sizes=tuple(args.sizes),
-        algorithms=tuple(args.algorithms),
-        queries=args.queries,
-        query_mode=args.query_mode,
-        repeat_fraction=args.repeat_fraction,
-        seed=args.seed,
-        cache_capacity=args.cache_size,
-    )
+    cfg = SuiteConfig(**{f.name: getattr(args, f.name) for f in fields(SuiteConfig)})
     report = emit_report(run_suite(cfg), args.format)
     _write_out(args.out, lambda f: f.write(report))
 

@@ -81,7 +81,9 @@ class SortedDataset:
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "SortedDataset":
         """Build a dataset, verifying (not assuming) 64-bit range and
-        nondecreasing order. An int64 array is copied."""
+        nondecreasing order. An array must be 1-D; an int64 one is copied."""
+        if isinstance(values, np.ndarray) and values.ndim != 1:
+            raise ValueError(f"keys must be a 1-D array, not one of shape {values.shape}")
         if isinstance(values, np.ndarray) and values.dtype == np.int64:
             return _adopt(values.copy())
         seq = values.tolist() if isinstance(values, np.ndarray) else values
@@ -115,7 +117,7 @@ def _adopt(arr: np.ndarray) -> SortedDataset:
     """Finish a dataset from an int64 array that nothing else holds: check the
     order, make the array read-only and keep a view of it, which refuses
     setflags(write=True) as the array itself would not. Every dataset is made
-    here; one that _canonical_int64 found in order arrives read-only."""
+    here; a read-only array is one whose maker has established its order."""
     if arr.flags.writeable:
         descents = (arr[1:] < arr[:-1]).nonzero()[0]
         if len(descents):

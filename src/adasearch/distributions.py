@@ -116,6 +116,7 @@ def generate(spec: DistributionSpec) -> SortedDataset:
         arr = (rng.choice(universe, size=n, p=weights) + 1).astype(np.int64)
 
     arr.sort()
+    arr.setflags(write=False)  # sorted: _adopt skips its descent scan
     return _adopt(arr)
 
 

@@ -38,8 +38,9 @@ from adasearch.bench import (
     run_trial,
     search_batch,
 )
+import adasearch.distributions as distributions
 from adasearch.cli import main
-from adasearch.dataset import INT64_MAX, INT64_MIN
+from adasearch.dataset import INT64_MAX, INT64_MIN, _adopt
 from adasearch.distributions import KINDS, MAX_LEN, MAX_ZIPF_UNIVERSE, PARAMS, QUERY_MODES, _to_int64
 from adasearch.search import BINARY, INTERPOLATION, KERNELS, LINEAR
 
@@ -65,6 +66,19 @@ class TestGenerate:
     def test_uniform_scores_interpolation(self):
         ds = generate(DistributionSpec("uniform", 2**14, 3))
         assert choose_algorithm(compute_stats(ds)).algorithm == INTERPOLATION
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sorted_keys_reach_adopt_read_only(self, kind, monkeypatch):
+        # a read-only array is one in order, so _adopt skips its descent scan
+        writeable = []
+
+        def recording_adopt(arr):
+            writeable.append(arr.flags.writeable)
+            return _adopt(arr)
+
+        monkeypatch.setattr(distributions, "_adopt", recording_adopt)
+        generate(DistributionSpec(kind, 100, 1))
+        assert writeable == [False]
 
     def test_clustered_output_sorted(self):
         ds = generate(DistributionSpec("clustered", 1000, 2, {"clusters": 5, "spread": 50}))
@@ -241,36 +255,42 @@ class TestLinearFastPath:
             assert first_occurrence(ds.values, t) == (out.index if out.index is not None else -1)
 
 
+def trial(spec, qs, algorithm, **kwargs):
+    """run_trial on the cell run_suite makes from spec and qs."""
+    ds = generate(spec)
+    return run_trial(spec, qs, algorithm, ds, generate_queries(ds, qs), **kwargs)
+
+
 class TestRunTrial:
     def test_members_always_found(self):
-        rec = run_trial(DistributionSpec("uniform", 2**12, 1),
-                        QuerySpec(2000, "members", seed=2), ADAPTIVE)
+        rec = trial(DistributionSpec("uniform", 2**12, 1),
+                    QuerySpec(2000, "members", seed=2), ADAPTIVE)
         assert rec.found_rate == 1.0
         assert rec.queries == 2000
 
     def test_repeat_stream_hit_rate(self):
-        rec = run_trial(DistributionSpec("uniform", 2**16, 1),
-                        QuerySpec(10**4, "repeated", repeat_fraction=0.5, seed=2), ADAPTIVE,
-                        cache_capacity=10**5)
+        rec = trial(DistributionSpec("uniform", 2**16, 1),
+                    QuerySpec(10**4, "repeated", repeat_fraction=0.5, seed=2), ADAPTIVE,
+                    cache_capacity=10**5)
         assert rec.cache_hit_rate is not None
         assert rec.cache_hit_rate >= 0.4
 
     def test_linear_mean_probes_near_half_n(self):
         n = 10**3
-        rec = run_trial(DistributionSpec("uniform", n, 5, {"lo": 0, "hi": 2**40}),
-                        QuerySpec(5000, "members", seed=6), LINEAR)
+        rec = trial(DistributionSpec("uniform", n, 5, {"lo": 0, "hi": 2**40}),
+                    QuerySpec(5000, "members", seed=6), LINEAR)
         expected = (n + 1) / 2
         assert rec.mean_probes == pytest.approx(expected, rel=0.10)
 
     def test_baselines_have_no_hit_rate(self):
-        rec = run_trial(DistributionSpec("uniform", 256, 1),
-                        QuerySpec(100, seed=2), BINARY)
+        rec = trial(DistributionSpec("uniform", 256, 1),
+                    QuerySpec(100, seed=2), BINARY)
         assert rec.cache_hit_rate is None
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown trial algorithm"):
-            run_trial(DistributionSpec("uniform", 256, 1),
-                      QuerySpec(100, seed=2), "ternary")
+            trial(DistributionSpec("uniform", 256, 1),
+                  QuerySpec(100, seed=2), "ternary")
 
 
 def reference_hit_rate(capacity, targets):
@@ -356,15 +376,15 @@ class TestBatchTrial:
         # takes its m window ends as Python ints, not all n keys (45 MB at 2**20)
         spec = DistributionSpec("uniform", 2**20, 1, {"lo": -(2**62), "hi": 2**62})
         ds, qs = generate(spec), QuerySpec(1000, "mixed", seed=2)
-        run_trial(DistributionSpec("uniform", 16, 1), qs, INTERPOLATION)  # numpy's lazy imports
+        trial(DistributionSpec("uniform", 16, 1), qs, INTERPOLATION)  # numpy's lazy imports
+        targets = generate_queries(ds, qs)
         tracemalloc.start()
         try:
-            rec = run_trial(spec, qs, INTERPOLATION, dataset=ds)
+            rec = run_trial(spec, qs, INTERPOLATION, dataset=ds, targets=targets)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        targets = generate_queries(ds, qs)
         index, probes = search_batch(ds.array, targets, INTERPOLATION)
         outs = [interpolation_search(ds, t) for t in targets]
         assert index.tolist() == [-1 if o.index is None else o.index for o in outs]
@@ -393,8 +413,8 @@ class TestBatchTrial:
         monkeypatch.setattr(bench, "search_batch", every_target_missed)
         for algorithm in self.ALGORITHMS:
             with pytest.raises(SpotCheckError):
-                run_trial(DistributionSpec("uniform", 256, 1),
-                          QuerySpec(100, "members", seed=2), algorithm)
+                trial(DistributionSpec("uniform", 256, 1),
+                      QuerySpec(100, "members", seed=2), algorithm)
 
 
 class TestRunSuite:

@@ -2,12 +2,14 @@ import csv
 import io
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from adasearch import SortedDataset, bench, linear_search
 import adasearch.cli as cli
+from adasearch.bench import SuiteConfig
 from adasearch.cli import main
 from adasearch.distributions import MAX_LEN
 
@@ -203,6 +205,22 @@ def test_bench_cache_size_below_one_is_refused_before_the_suite_runs(monkeypatch
     monkeypatch.setattr(cli, "run_suite", run_suite)
     code, out, err = run(capsys, "bench", "--seed", "1", "--cache-size", "0")
     assert (code, out, err) == (1, "", "adasearch: error: cache_capacity must be >= 1\n")
+
+
+def test_every_bench_flag_sets_its_suite_config_field(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: seen.append(cfg) or [])
+    code, out, err = run(capsys, "bench", "--seed", "7", "--sizes", "64", "128",
+                         "--distributions", "zipf", "clustered", "--algorithms", "linear", "binary",
+                         "--queries", "9", "--query-mode", "repeated", "--repeat-fraction", "0.25",
+                         "--cache-size", "3", "--format", "csv")
+    assert (code, err) == (0, "")
+    expected = SuiteConfig(distributions=("zipf", "clustered"), sizes=(64, 128),
+                           algorithms=("linear", "binary"), queries=9, query_mode="repeated",
+                           repeat_fraction=0.25, seed=7, cache_capacity=3)
+    assert seen == [expected]  # tuples, not argparse's lists
+    for f in fields(SuiteConfig):  # so a field no flag sets would show here
+        assert getattr(expected, f.name) != f.default, f.name
 
 
 def test_gen_unread_parameters_are_data_error(tmp_path, capsys):

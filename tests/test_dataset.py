@@ -1,6 +1,7 @@
 import copy
 import io
 import pickle
+import re
 import sys
 import threading
 import tracemalloc
@@ -192,6 +193,15 @@ def test_integral_non_int_values_become_ints():
     assert tuple(ds.values) == (1, 2, 3, 4)
     assert {type(v) for v in ds.values} == {int}
     assert ds == SortedDataset.from_values([1, 2, 3, 4])
+
+
+@pytest.mark.parametrize("keys", [np.array([[1, 2], [3, 4]], dtype=np.int64), np.array(5, dtype=np.int64),
+                                  np.array([[1, 2], [3, 4]], dtype=np.int32)])
+def test_an_array_that_is_not_1d_is_refused(keys):
+    # refused before any copy: a 2-D int64 array would make a dataset no kernel can search
+    for build in (SortedDataset.from_values, SortedDataset.from_sorted_array):
+        with pytest.raises(ValueError, match=re.escape(f"shape {keys.shape}")):
+            build(keys)
 
 
 def test_from_sorted_array_rejects_descent():

@@ -207,8 +207,23 @@ CATALOGUE = (
            "tuple(self._registry.values())",
            "tuple(reversed(self._registry.values()))", ("tests/test_engine.py",)),
     Mutant("the adaptive trial's kernel is not the engine's choice", BENCH,
-           "        kernel = SearchEngine().register(ds).choice.algorithm\n",
+           "        kernel = SearchEngine().register(dataset).choice.algorithm\n",
            "        kernel = BINARY\n", ("tests/test_bench.py",)),
+    # the suite makes each cell once, from seeds its position fixes; the CLI names each setting once
+    Mutant("suite cells are numbered from 1", BENCH,
+           "enumerate(product(cfg.distributions, cfg.sizes))",
+           "enumerate(product(cfg.distributions, cfg.sizes), 1)", ("tests/test_bench.py",)),
+    Mutant("bench drops a SuiteConfig field", CLI,
+           "for f in fields(SuiteConfig)}",
+           'for f in fields(SuiteConfig) if f.name != "queries"}',
+           ("tests/test_cli.py::test_every_bench_flag_sets_its_suite_config_field",)),
+    Mutant("a 2-D array is adopted", DATASET,
+           "        if isinstance(values, np.ndarray) and values.ndim != 1:\n"
+           '            raise ValueError(f"keys must be a 1-D array, not one of shape {values.shape}")\n',
+           "", ("tests/test_dataset.py::test_an_array_that_is_not_1d_is_refused",)),
+    Mutant("generate leaves its keys writable", DISTRIBUTIONS,
+           "    arr.setflags(write=False)  # sorted: _adopt skips its descent scan\n",
+           "", ("tests/test_bench.py",)),
 )
 
 
