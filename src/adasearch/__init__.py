@@ -7,7 +7,6 @@ from .dataset import (
     NotSortedError,
     ParseError,
     SortedDataset,
-    fingerprint,
     load_dataset,
 )
 from .distributions import DistributionSpec, InvalidSpec, QuerySpec, generate, generate_queries
@@ -52,7 +51,6 @@ __all__ = [
     "binary_search",
     "choose_algorithm",
     "compute_stats",
-    "fingerprint",
     "generate",
     "generate_queries",
     "interpolation_search",

@@ -204,15 +204,10 @@ def run_trial(
     wall = time.perf_counter_ns() - t0
     found = index >= 0
 
-    # found-ness spot check on a random 1% subsample
-    if len(targets):
-        check_rng = np.random.default_rng(query_spec.seed + 0x5F07)
-        k = max(1, len(targets) // 100)
-        for i in check_rng.integers(0, len(targets), size=k):
-            expected = first_occurrence(dataset.array, targets[i]) >= 0
-            if found[i] != expected:
-                raise SpotCheckError(
-                    f"query {targets[i]}: {algorithm} found={found[i]}, oracle found={expected}")
+    for i in range(0, len(targets), 100):  # found-ness spot check on every 100th target
+        oracle = first_occurrence(dataset.array, targets[i]) >= 0
+        if found[i] != oracle:
+            raise SpotCheckError(f"query {targets[i]}: {algorithm} found={found[i]}, oracle found={oracle}")
 
     q = len(targets)
     return TrialRecord(

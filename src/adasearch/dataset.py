@@ -10,7 +10,6 @@ import numpy as np
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
-_INFINITIES = (float("inf"), float("-inf"))
 
 
 class DatasetError(Exception):
@@ -86,24 +85,13 @@ class SortedDataset:
             raise ValueError(f"keys must be a 1-D array, not one of shape {values.shape}")
         if isinstance(values, np.ndarray) and values.dtype == np.int64:
             return _adopt(values.copy())
-        seq = values.tolist() if isinstance(values, np.ndarray) else values
-        vt = seq if type(seq) is tuple else tuple(seq)
-        try:
-            arr = np.fromiter(vt, dtype=np.int64, count=len(vt))
-        except (OverflowError, ValueError):
-            # the first value the conversion stops at; NaN and ±inf are tested before int()
-            i, v = next((i, v) for i, v in enumerate(vt)
-                        if v != v or v in _INFINITIES or not INT64_MIN <= int(v) <= INT64_MAX)
-            if v != v:
-                raise ValueError(f"value at index {i} is not an integer: {v!r}") from None
-            raise OverflowError(f"value at index {i} exceeds 64-bit range: {v}") from None
-        if not set(map(type, vt)) <= {int}:
-            # the int64 conversion truncates 1.5 to 1 (NaN it rejects above), so a
-            # value that is not integral is found by comparing; 2.0, bools and numpy ints pass
-            bad = next((i for i, (v, w) in enumerate(zip(vt, arr.tolist())) if v != w), None)
-            if bad is not None:
-                raise ValueError(f"value at index {bad} is not an integer: {vt[bad]!r}")
-        return _adopt(arr)
+        vt = tuple(values.tolist() if isinstance(values, np.ndarray) else values)  # a tuple is not copied
+        if set(map(type, vt)) <= {int}:
+            try:
+                return _adopt(np.fromiter(vt, dtype=np.int64, count=len(vt)))
+            except OverflowError:  # an int beyond int64, which _key names below
+                pass
+        return _adopt(np.fromiter((_key(i, v) for i, v in enumerate(vt)), dtype=np.int64, count=len(vt)))
 
     # Kept by name for callers that hold an int64 array; validation is identical.
     from_sorted_array = from_values
@@ -111,6 +99,21 @@ class SortedDataset:
     def dump(self, stream: IO[str]) -> None:
         """Serialize back to the line-delimited text format."""
         stream.write("".join(f"{v}\n" for v in self.array.tolist()))
+
+
+def _key(i: int, v) -> int:
+    """The int64 key equal to v, the value at index i, or an error that names i."""
+    try:
+        k = int(v)  # 2.0, True and numpy integers equal theirs; 1.5 and "5" do not
+    except OverflowError:  # ±inf
+        raise OverflowError(f"value at index {i} exceeds 64-bit range: {v}") from None
+    except (TypeError, ValueError):  # NaN, "x", None, a list
+        k = None
+    if k is None or k != v:
+        raise ValueError(f"value at index {i} is not an integer: {v!r}")
+    if not INT64_MIN <= k <= INT64_MAX:
+        raise OverflowError(f"value at index {i} exceeds 64-bit range: {v}")
+    return k
 
 
 def _adopt(arr: np.ndarray) -> SortedDataset:

@@ -82,6 +82,10 @@ def generate(spec: DistributionSpec) -> SortedDataset:
     rng = np.random.default_rng(spec.seed)
     n = spec.n
     p = spec.params
+    for name in ("lo", "hi", "clusters", "m"):  # read with int(), which takes "5" and truncates 2.5
+        v = p.get(name, 0)
+        if isinstance(v, str) or v % 1:  # v % 1 is 0 for 2.0 and numpy integers, NaN for NaN and ±inf
+            raise InvalidSpec(f"{spec.kind}: {name} must be an integer, got {v!r}")
 
     if spec.kind == UNIFORM:
         lo, hi = _key_range(p, UNIFORM)

@@ -120,6 +120,11 @@ class TestGenerate:
         ("zipf", {"m": 10**18}),
         # refused before numpy's "array is too big" ValueError for the centres
         ("clustered", {"clusters": MAX_LEN + 1}),
+        # an integer parameter that is not integral is refused, not truncated
+        ("zipf", {"m": 2.7}),
+        ("clustered", {"clusters": 2.5}),
+        ("uniform", {"lo": 0.5, "hi": 10.9}),
+        ("zipf", {"m": "7"}),
     ])
     def test_invalid_params(self, kind, params):
         # parameters are checked at n = 0 too, not only once there are keys
@@ -134,6 +139,15 @@ class TestGenerate:
                              ("zipf", {"s": 1.1, "m": 50})):
             assert set(params) == set(PARAMS[kind])
             assert len(generate(DistributionSpec(kind, 20, 1, params))) == 20
+
+    def test_integral_parameters_read_as_ints(self):
+        # the key rule: 2.0, True and numpy integers are the ints they equal
+        for kind, params, ints in (
+                ("uniform", {"lo": -5.0, "hi": np.int64(5)}, {"lo": -5, "hi": 5}),
+                ("clustered", {"lo": 0.0, "hi": 100.0, "clusters": True}, {"lo": 0, "hi": 100, "clusters": 1}),
+                ("zipf", {"m": np.uint8(50)}, {"m": 50})):
+            as_given = generate(DistributionSpec(kind, 20, 1, params))
+            assert as_given == generate(DistributionSpec(kind, 20, 1, ints))
 
     def test_key_range_at_a_single_value(self):
         for key in (5, INT64_MIN, INT64_MAX):
@@ -415,6 +429,37 @@ class TestBatchTrial:
             with pytest.raises(SpotCheckError):
                 trial(DistributionSpec("uniform", 256, 1),
                       QuerySpec(100, "members", seed=2), algorithm)
+
+    @pytest.mark.parametrize("lane", [0, 300, 900])
+    def test_spot_check_reads_every_100th_target(self, monkeypatch, lane):
+        # one lane of 1000 answered wrong; a draw of 10 lanes seeded by the
+        # query seed (1 here) would miss each of these
+        search = bench.search_batch
+
+        def one_lane_wrong(keys, targets, algorithm):
+            index, probes = search(keys, targets, algorithm)
+            index[lane] = -1
+            return index, probes
+
+        monkeypatch.setattr(bench, "search_batch", one_lane_wrong)
+        spec, qs = DistributionSpec("uniform", 256, 1), QuerySpec(1000, "members", seed=1)
+        ds = generate(spec)
+        targets = generate_queries(ds, qs)
+        for algorithm in self.ALGORITHMS:
+            with pytest.raises(SpotCheckError, match=f"query {targets[lane]}: {algorithm} found=False"):
+                run_trial(spec, qs, algorithm, ds, targets)
+
+    def test_run_trial_draws_nothing(self, monkeypatch):
+        spec, qs = DistributionSpec("uniform", 256, 1), QuerySpec(1000, "mixed", seed=1)
+        ds = generate(spec)
+        targets = generate_queries(ds, qs)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("run_trial made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        for algorithm in self.ALGORITHMS:
+            run_trial(spec, qs, algorithm, ds, targets)
 
 
 class TestRunSuite:

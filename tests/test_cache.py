@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from adasearch import LruCache, ProbeTrace, SearchOutcome, fingerprint
+from adasearch import LruCache, ProbeTrace, SearchOutcome
+from adasearch.dataset import fingerprint
 
 
 def key(t, ds_vals=(1, 2, 3)):

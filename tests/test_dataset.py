@@ -17,10 +17,10 @@ from adasearch import (
     ParseError,
     SearchEngine,
     SortedDataset,
-    fingerprint,
     generate,
     load_dataset,
 )
+from adasearch.dataset import fingerprint
 
 
 def test_load_paper_listing_values():
@@ -168,7 +168,11 @@ def test_from_sorted_array_matches_from_values():
 @pytest.mark.parametrize("values,index", [([1.5, 2.7], 0), ([1, 2.5, 3], 1),
                                           (np.array([1.0, 2.25]), 1),
                                           ([float("nan")], 0), ([1, 2, float("nan")], 2),
-                                          (np.array([0.0, np.nan]), 1)])
+                                          (np.array([0.0, np.nan]), 1),
+                                          # values int() cannot take, and the first bad value named
+                                          ([None], 0), ([[1, 2], [3, 4]], 0), ([1, [1, 2]], 1), (["x"], 0),
+                                          ([1, 2, "x"], 2), (["5", None], 0),
+                                          ([1.5, float("nan")], 0), ([1.5, 2**63], 0)])
 def test_non_integral_values_rejected(values, index):
     with pytest.raises(ValueError, match=f"index {index} is not an integer"):
         SortedDataset.from_values(values)
@@ -182,7 +186,8 @@ def test_infinite_values_overflow(values, index):
 
 
 @pytest.mark.parametrize("values,index", [([-(2**63), 2**63], 1), ([2**63 - 1, 2**63], 1),
-                                          ([-(2**63) - 1, 0], 0), ([0, -(2**63), 2**64], 2)])
+                                          ([-(2**63) - 1, 0], 0), ([0, -(2**63), 2**64], 2),
+                                          ([2**63, 1.5], 0), ([-(2**63) - 1, None], 0)])
 def test_out_of_range_value_is_located_past_the_int64_ends(values, index):
     with pytest.raises(OverflowError, match=f"value at index {index} exceeds 64-bit range"):
         SortedDataset.from_values(values)

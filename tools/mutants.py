@@ -199,9 +199,13 @@ CATALOGUE = (
     Mutant("the one-pass length sum is one short", DATASET,
            "2 * n + neg + wide != len(raw)",
            "2 * n + neg + wide - 1 != len(raw)", ("tests/test_dataset.py::test_canonical_text_takes_the_one_pass",)),
+    # one key rule: every value that is not an int is judged by _key, in index order
     Mutant("the range error skips a value of INT64_MIN", DATASET,
-           "not INT64_MIN <= int(v) <= INT64_MAX",
-           "not INT64_MIN < int(v) <= INT64_MAX", ("tests/test_dataset.py",)),
+           "not INT64_MIN <= k <= INT64_MAX",
+           "not INT64_MIN < k <= INT64_MAX", ("tests/test_dataset.py",)),
+    Mutant("the key rule takes 1.5 as 1", DATASET,
+           "if k is None or k != v:",
+           "if k is None:", ("tests/test_dataset.py",)),
     # the engine is the one place a dataset is analysed and named
     Mutant("report lists registrations out of order", ENGINE,
            "tuple(self._registry.values())",
@@ -224,6 +228,13 @@ CATALOGUE = (
     Mutant("generate leaves its keys writable", DISTRIBUTIONS,
            "    arr.setflags(write=False)  # sorted: _adopt skips its descent scan\n",
            "", ("tests/test_bench.py",)),
+    Mutant("the spot check skips target 0", BENCH,
+           "range(0, len(targets), 100)",
+           "range(1, len(targets), 100)",
+           ("tests/test_bench.py::TestBatchTrial::test_spot_check_reads_every_100th_target",)),
+    Mutant("a generator truncates a float parameter", DISTRIBUTIONS,
+           "isinstance(v, str) or v % 1:",
+           "isinstance(v, str):", ("tests/test_bench.py::TestGenerate::test_invalid_params",)),
 )
 
 
