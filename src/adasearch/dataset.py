@@ -80,18 +80,19 @@ class SortedDataset:
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "SortedDataset":
         """Build a dataset, verifying (not assuming) 64-bit range and
-        nondecreasing order. An array must be 1-D; an int64 one is copied."""
+        nondecreasing order. An array must be 1-D, and is copied. Only what
+        numpy converts to a 1-D int64 array skips the key rule, `_key`."""
         if isinstance(values, np.ndarray) and values.ndim != 1:
             raise ValueError(f"keys must be a 1-D array, not one of shape {values.shape}")
-        if isinstance(values, np.ndarray) and values.dtype == np.int64:
-            return _adopt(values.copy())
-        vt = tuple(values.tolist() if isinstance(values, np.ndarray) else values)  # a tuple is not copied
-        if set(map(type, vt)) <= {int}:
-            try:
-                return _adopt(np.fromiter(vt, dtype=np.int64, count=len(vt)))
-            except OverflowError:  # an int beyond int64, which _key names below
-                pass
-        return _adopt(np.fromiter((_key(i, v) for i, v in enumerate(vt)), dtype=np.int64, count=len(vt)))
+        if isinstance(values, np.ndarray) and values.dtype != np.int64:
+            values = values.tolist()  # Python scalars: an error names 1.5, not np.float64(1.5)
+        try:
+            arr = np.array(values)  # always a new array; a generator is left unread
+        except ValueError:  # a ragged list
+            arr = None
+        if arr is None or arr.dtype != np.int64 or arr.ndim != 1:
+            arr = np.fromiter((_key(i, v) for i, v in enumerate(values)), dtype=np.int64)
+        return _adopt(arr)
 
     # Kept by name for callers that hold an int64 array; validation is identical.
     from_sorted_array = from_values

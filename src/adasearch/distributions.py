@@ -13,7 +13,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .dataset import INT64_MAX, INT64_MIN, SortedDataset, _adopt
+from .dataset import SortedDataset, _adopt, _key
 
 UNIFORM = "uniform"
 CLUSTERED = "clustered"
@@ -67,14 +67,13 @@ def _to_int64(draws: np.ndarray, kind: str) -> np.ndarray:
     return draws.astype(np.int64)
 
 
-def _key_range(p: Mapping[str, Any], kind: str) -> tuple[int, int]:
-    """The lo/hi key range of a uniform or clustered spec, checked to be an
-    ordered pair of int64 values (numpy would reject it with a ValueError)."""
-    lo = int(p.get("lo", 0))
-    hi = int(p.get("hi", 2**32))
-    if not INT64_MIN <= lo <= hi <= INT64_MAX:
-        raise InvalidSpec(f"{kind}: need {INT64_MIN} <= lo <= hi <= {INT64_MAX}, got lo {lo}, hi {hi}")
-    return lo, hi
+def _int(v, what: str) -> int:
+    """v as the int64 it equals, by the key rule (2.0, True and numpy integers
+    pass; 2.5, "5" and None do not), else InvalidSpec naming `what`."""
+    try:
+        return _key(0, v)
+    except (ValueError, OverflowError):
+        raise InvalidSpec(f"{what} must be a 64-bit integer, got {v!r}") from None
 
 
 def generate(spec: DistributionSpec) -> SortedDataset:
@@ -82,18 +81,16 @@ def generate(spec: DistributionSpec) -> SortedDataset:
     rng = np.random.default_rng(spec.seed)
     n = spec.n
     p = spec.params
-    for name in ("lo", "hi", "clusters", "m"):  # read with int(), which takes "5" and truncates 2.5
-        v = p.get(name, 0)
-        if isinstance(v, str) or v % 1:  # v % 1 is 0 for 2.0 and numpy integers, NaN for NaN and ±inf
-            raise InvalidSpec(f"{spec.kind}: {name} must be an integer, got {v!r}")
+    if spec.kind in (UNIFORM, CLUSTERED):  # numpy refuses lo > hi with a ValueError
+        lo, hi = _int(p.get("lo", 0), f"{spec.kind}: lo"), _int(p.get("hi", 2**32), f"{spec.kind}: hi")
+        if not lo <= hi:
+            raise InvalidSpec(f"{spec.kind}: need lo <= hi, got lo {lo}, hi {hi}")
 
     if spec.kind == UNIFORM:
-        lo, hi = _key_range(p, UNIFORM)
         arr = rng.integers(lo, hi, size=n, endpoint=True, dtype=np.int64)
     elif spec.kind == CLUSTERED:
-        clusters = int(p.get("clusters", 10))
+        clusters = _int(p.get("clusters", 10), "clustered: clusters")
         spread = float(p.get("spread", 1000.0))
-        lo, hi = _key_range(p, CLUSTERED)
         if not 1 <= clusters <= MAX_LEN or not spread >= 0:  # NaN fails every comparison
             raise InvalidSpec(f"clustered: need 1 <= clusters <= {MAX_LEN}, spread >= 0")
         centers = rng.integers(lo, hi, size=clusters, endpoint=True, dtype=np.int64)
@@ -111,7 +108,7 @@ def generate(spec: DistributionSpec) -> SortedDataset:
         arr = _to_int64(rng.exponential(scale, size=n), EXPONENTIAL)
     else:  # ZIPF
         s = float(p.get("s", 1.2))
-        universe = int(p.get("m", 10**6))
+        universe = _int(p.get("m", 10**6), "zipf: m")
         if not s > 0 or not 1 <= universe <= MAX_ZIPF_UNIVERSE:
             raise InvalidSpec(f"zipf: need s > 0 and 1 <= m <= {MAX_ZIPF_UNIVERSE}")
         ranks = np.arange(1, universe + 1, dtype=np.float64)

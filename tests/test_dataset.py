@@ -20,7 +20,8 @@ from adasearch import (
     generate,
     load_dataset,
 )
-from adasearch.dataset import fingerprint
+import adasearch.dataset as dataset
+from adasearch.dataset import _key, fingerprint
 
 
 def test_load_paper_listing_values():
@@ -172,7 +173,8 @@ def test_from_sorted_array_matches_from_values():
                                           # values int() cannot take, and the first bad value named
                                           ([None], 0), ([[1, 2], [3, 4]], 0), ([1, [1, 2]], 1), (["x"], 0),
                                           ([1, 2, "x"], 2), (["5", None], 0),
-                                          ([1.5, float("nan")], 0), ([1.5, 2**63], 0)])
+                                          ([1.5, float("nan")], 0), ([1.5, 2**63], 0),
+                                          ((v for v in (1, 1.5, 2)), 1)])
 def test_non_integral_values_rejected(values, index):
     with pytest.raises(ValueError, match=f"index {index} is not an integer"):
         SortedDataset.from_values(values)
@@ -187,17 +189,41 @@ def test_infinite_values_overflow(values, index):
 
 @pytest.mark.parametrize("values,index", [([-(2**63), 2**63], 1), ([2**63 - 1, 2**63], 1),
                                           ([-(2**63) - 1, 0], 0), ([0, -(2**63), 2**64], 2),
-                                          ([2**63, 1.5], 0), ([-(2**63) - 1, None], 0)])
+                                          ([2**63, 1.5], 0), ([-(2**63) - 1, None], 0),
+                                          (range(2**63 - 2, 2**63 + 1), 2)])
 def test_out_of_range_value_is_located_past_the_int64_ends(values, index):
     with pytest.raises(OverflowError, match=f"value at index {index} exceeds 64-bit range"):
         SortedDataset.from_values(values)
+
+
+def test_a_non_int64_array_is_judged_by_its_python_values():
+    # tolist() first: the message names the value as the caller wrote it, not np.float64(1.5)
+    with pytest.raises(ValueError) as info:
+        SortedDataset.from_values(np.array([1.5]))
+    assert str(info.value) == "value at index 0 is not an integer: 1.5"
+
+
+def test_only_numpys_int64_conversion_skips_the_key_rule(monkeypatch):
+    """An all-int list, a range and an int64 array become one int64 array in
+    numpy's single conversion; anything else is judged value by value."""
+    def refuse(i, v):
+        raise AssertionError(f"_key called on index {i}")
+
+    monkeypatch.setattr(dataset, "_key", refuse)
+    for values in ([-(2**63), 5, 2**63 - 1], range(0, 300, 7), np.array([1, 2, 2], dtype=np.int64)):
+        ds = SortedDataset.from_values(values)
+        assert ds.array.dtype == np.int64 and not np.shares_memory(ds.array, values)
+    judged = []
+    monkeypatch.setattr(dataset, "_key", lambda i, v: judged.append(i) or _key(i, v))
+    assert SortedDataset.from_values([1, 2.0, 3, 4]).array.tolist() == [1, 2, 3, 4]
+    assert judged == [0, 1, 2, 3]
 
 
 def test_integral_non_int_values_become_ints():
     ds = SortedDataset.from_values([True, 2.0, np.int64(3), 4])
     assert tuple(ds.values) == (1, 2, 3, 4)
     assert {type(v) for v in ds.values} == {int}
-    assert ds == SortedDataset.from_values([1, 2, 3, 4])
+    assert ds == SortedDataset.from_values([1, 2, 3, 4]) == SortedDataset.from_values(v for v in ds.values)
 
 
 @pytest.mark.parametrize("keys", [np.array([[1, 2], [3, 4]], dtype=np.int64), np.array(5, dtype=np.int64),
@@ -266,6 +292,41 @@ def test_list_array_and_text_constructors_agree(xs, presort):
     from_list = build(lambda: SortedDataset.from_values(xs))
     assert build(lambda: SortedDataset.from_values(arr)) == from_list
     assert build(lambda: load_dataset(io.StringIO(text))) == from_list
+
+
+def key_rule_outcome(values):
+    """from_values' reference: `_key` on each value in index order, then the
+    descent check; the keys, or the exception's type and message."""
+    try:
+        keys = [_key(i, v) for i, v in enumerate(values)]
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    descents = [i for i in range(1, len(keys)) if keys[i] < keys[i - 1]]
+    return (NotSortedError, f"values decrease at index {descents[0]}") if descents else keys
+
+
+MIXED_VALUES = st.one_of(
+    st.integers(-(2**63), 2**63 - 1), st.sampled_from(INT64_EDGES), st.integers(-(2**70), 2**70),
+    st.integers(-(2**53), 2**53).map(float), st.floats(), st.booleans(),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32), st.integers(0, 2**64 - 1).map(np.uint64),
+    st.floats().map(np.float64), st.text(max_size=2), st.none(),
+    st.lists(st.integers(-3, 3), max_size=2))
+
+
+@given(st.lists(MIXED_VALUES, max_size=6))
+@example([2**63, -1])  # numpy infers float64
+@example([[1, 2], [3, 4]])  # a 2-D int64 array
+@example([1, [1, 2]])  # ragged: numpy raises ValueError
+@example([np.uint64(2**63), 1])
+@example([float("nan"), float("inf")])
+def test_from_values_is_the_key_rule_over_mixed_values(values):
+    try:
+        ds = SortedDataset.from_values(values)
+    except (ValueError, OverflowError, NotSortedError) as exc:
+        assert (type(exc), str(exc)) == key_rule_outcome(values)
+    else:
+        assert ds.array.tolist() == key_rule_outcome(values)
+        assert ds.array.dtype == np.int64 and all(type(v) is int for v in ds.values)
 
 
 def load_by_lines(stream):
