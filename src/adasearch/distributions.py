@@ -7,6 +7,7 @@ machines and runs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Mapping
@@ -44,6 +45,7 @@ class DistributionSpec:
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown distribution kind: {self.kind!r}")
+        object.__setattr__(self, "n", _number(self.n, "n"))  # by the key rule, as the params
         if self.n < 0:
             raise InvalidSpec("n must be >= 0")
         if self.n > MAX_LEN:
@@ -67,30 +69,36 @@ def _to_int64(draws: np.ndarray, kind: str) -> np.ndarray:
     return draws.astype(np.int64)
 
 
-def _int(v, what: str) -> int:
-    """v as the int64 it equals, by the key rule (2.0, True and numpy integers
-    pass; 2.5, "5" and None do not), else InvalidSpec naming `what`."""
+def _number(v, what: str, real: bool = False) -> int | float:
+    """v as the int64 it equals by the key rule (2.0, True and numpy integers pass;
+    2.5, "5" and None do not), or if `real` the float of a real number (not a str)."""
     try:
-        return _key(0, v)
-    except (ValueError, OverflowError):
-        raise InvalidSpec(f"{what} must be a 64-bit integer, got {v!r}") from None
+        if not real:
+            return _key(0, v)
+        if isinstance(v, numbers.Real):
+            return float(v)
+    except (ValueError, OverflowError):  # not an int64 key; a real beyond float's range
+        pass
+    raise InvalidSpec(f"{what} must be {'a real number' if real else 'a 64-bit integer'}, got {v!r}")
 
 
 def generate(spec: DistributionSpec) -> SortedDataset:
     """Deterministic dataset from a spec. Output is sorted; duplicates allowed."""
     rng = np.random.default_rng(spec.seed)
     n = spec.n
-    p = spec.params
+
+    def param(name: str, default: int | float) -> int | float:  # read as the default's type
+        return _number(spec.params.get(name, default), f"{spec.kind}: {name}", isinstance(default, float))
+
     if spec.kind in (UNIFORM, CLUSTERED):  # numpy refuses lo > hi with a ValueError
-        lo, hi = _int(p.get("lo", 0), f"{spec.kind}: lo"), _int(p.get("hi", 2**32), f"{spec.kind}: hi")
+        lo, hi = param("lo", 0), param("hi", 2**32)
         if not lo <= hi:
             raise InvalidSpec(f"{spec.kind}: need lo <= hi, got lo {lo}, hi {hi}")
 
     if spec.kind == UNIFORM:
         arr = rng.integers(lo, hi, size=n, endpoint=True, dtype=np.int64)
     elif spec.kind == CLUSTERED:
-        clusters = _int(p.get("clusters", 10), "clustered: clusters")
-        spread = float(p.get("spread", 1000.0))
+        clusters, spread = param("clusters", 10), param("spread", 1000.0)
         if not 1 <= clusters <= MAX_LEN or not spread >= 0:  # NaN fails every comparison
             raise InvalidSpec(f"clustered: need 1 <= clusters <= {MAX_LEN}, spread >= 0")
         centers = rng.integers(lo, hi, size=clusters, endpoint=True, dtype=np.int64)
@@ -102,13 +110,12 @@ def generate(spec: DistributionSpec) -> SortedDataset:
         if np.any((arr < base) != (offsets < 0)):
             raise InvalidSpec("clustered: keys leave the 64-bit range")
     elif spec.kind == EXPONENTIAL:
-        scale = float(p.get("scale", 1e6))
+        scale = param("scale", 1e6)
         if not scale > 0:
             raise InvalidSpec("exponential: scale must be > 0")
         arr = _to_int64(rng.exponential(scale, size=n), EXPONENTIAL)
     else:  # ZIPF
-        s = float(p.get("s", 1.2))
-        universe = _int(p.get("m", 10**6), "zipf: m")
+        s, universe = param("s", 1.2), param("m", 10**6)
         if not s > 0 or not 1 <= universe <= MAX_ZIPF_UNIVERSE:
             raise InvalidSpec(f"zipf: need s > 0 and 1 <= m <= {MAX_ZIPF_UNIVERSE}")
         ranks = np.arange(1, universe + 1, dtype=np.float64)
@@ -136,6 +143,7 @@ class QuerySpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "count", _number(self.count, "count"))
         if self.count < 0:
             raise InvalidSpec("count must be >= 0")
         if self.count > MAX_LEN:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -125,12 +126,36 @@ class TestGenerate:
         ("clustered", {"clusters": 2.5}),
         ("uniform", {"lo": 0.5, "hi": 10.9}),
         ("zipf", {"m": "7"}),
+        # an integer parameter that is no number at all is refused, not a bare TypeError
+        ("uniform", {"lo": None}),
+        ("uniform", {"hi": [5]}),
+        ("uniform", {"lo": 1 + 0j}),
+        ("zipf", {"m": None}),
+        # a float parameter must be a real number: a string is refused, not parsed
+        ("exponential", {"scale": "5"}),
+        ("clustered", {"spread": "7"}),
+        ("zipf", {"s": "abc"}),
+        ("exponential", {"scale": None}),
+        ("exponential", {"scale": 2**1024}),
     ])
     def test_invalid_params(self, kind, params):
         # parameters are checked at n = 0 too, not only once there are keys
         for n in (10,) if (kind, params) in self.DRAWS_LEAVE_INT64 else (10, 0):
             with pytest.raises(InvalidSpec):
                 generate(DistributionSpec(kind, n, 1, params))
+
+    def test_invalid_params_are_named(self):
+        for kind, params, message in (
+                ("uniform", {"lo": None}, "uniform: lo must be a 64-bit integer, got None"),
+                ("uniform", {"hi": 2**64}, "uniform: hi must be a 64-bit integer, got 18446744073709551616"),
+                ("uniform", {"lo": 5, "hi": 1}, "uniform: need lo <= hi, got lo 5, hi 1"),
+                ("clustered", {"clusters": 2.5}, "clustered: clusters must be a 64-bit integer, got 2.5"),
+                ("zipf", {"m": "7"}, "zipf: m must be a 64-bit integer, got '7'"),
+                ("exponential", {"scale": "5"}, "exponential: scale must be a real number, got '5'"),
+                ("clustered", {"spread": None}, "clustered: spread must be a real number, got None")):
+            with pytest.raises(InvalidSpec) as info:
+                generate(DistributionSpec(kind, 10, 1, params))
+            assert str(info.value) == message
 
     def test_every_parameter_a_kind_reads_is_accepted(self):
         for kind, params in (("uniform", {"lo": -5, "hi": 5}),
@@ -145,7 +170,10 @@ class TestGenerate:
         for kind, params, ints in (
                 ("uniform", {"lo": -5.0, "hi": np.int64(5)}, {"lo": -5, "hi": 5}),
                 ("clustered", {"lo": 0.0, "hi": 100.0, "clusters": True}, {"lo": 0, "hi": 100, "clusters": 1}),
-                ("zipf", {"m": np.uint8(50)}, {"m": 50})):
+                ("zipf", {"m": np.uint8(50)}, {"m": 50}),
+                # a float parameter takes any real number
+                ("zipf", {"s": 2, "m": True}, {"s": 2.0, "m": 1}),
+                ("exponential", {"scale": np.float32(10)}, {"scale": 10.0})):
             as_given = generate(DistributionSpec(kind, 20, 1, params))
             assert as_given == generate(DistributionSpec(kind, 20, 1, ints))
 
@@ -193,6 +221,16 @@ class TestGenerate:
             DistributionSpec("uniform", MAX_LEN + 1, 1)
         with pytest.raises(InvalidSpec, match=f"^count must be <= {MAX_LEN}, "):
             QuerySpec(MAX_LEN + 1)
+        # n and count are read by the key rule and stored as the ints they equal
+        for given, n in ((True, 1), (4.0, 4), (np.int64(3), 3), (np.uint8(5), 5)):
+            spec, qs = DistributionSpec("uniform", given, 1), QuerySpec(given)
+            assert spec.n == qs.count == n and type(spec.n) is type(qs.count) is int
+        assert spec == DistributionSpec("uniform", 5, 1) and len(generate(spec)) == 5
+        for bad in (2.5, "5", None, float("nan"), 2**64):
+            with pytest.raises(InvalidSpec, match=f"^n must be a 64-bit integer, got {re.escape(repr(bad))}$"):
+                DistributionSpec("uniform", bad, 1)
+            with pytest.raises(InvalidSpec, match=f"^count must be a 64-bit integer, got {re.escape(repr(bad))}$"):
+                QuerySpec(bad)
 
 
 class TestGenerateQueries:

@@ -2,12 +2,13 @@
 # `adasearch search` on three 2^20-key files: uniform, zipf (heavy with
 # duplicates) and one far outlier key. Each kernel must agree with the linear
 # scan, interpolation must stay within its 2G = 42 probe bound, and the
-# selector's trial must pick the kernel it picks today.
+# selector's trial must pick the kernel it picks today. The uniform file is
+# also searched as text only the line loop reads, with the same answers.
 #
 #     bash tools/big_search.sh
 #
 # Runs `python3 -m adasearch.cli` against this checkout's src/ (put ahead of
-# any PYTHONPATH), in a temporary directory it removes on exit. About 11 s on
+# any PYTHONPATH), in a temporary directory it removes on exit. About 22 s on
 # a 2-CPU host.
 set -eo pipefail
 
@@ -44,6 +45,19 @@ adasearch search big.txt "$member" | grep -x 'found: True'
 adasearch search big.txt "$absent" | grep -x 'found: False'
 # uniform keys: interpolation makes fewer probes in the selector's trial
 adasearch search big.txt "$member" | grep -x 'selected: interpolation (fewer_probes)'
+
+echo "== the same file with CRLF line ends and a final blank line, read by the line loop"
+# a file opened in the default newline mode reads CRLF as LF, which alone is
+# canonical; the blank line is not, so the loop and from_values' list path run
+sed 's/$/\r/' big.txt > loop.txt
+printf '\r\n' >> loop.txt
+python3 -c "from adasearch import dataset; assert dataset._read_canonical(open('loop.txt', encoding='utf-8')) is None"
+for target in "$member" "$absent"; do
+  timeout 60 adasearch search big.txt "$target" | grep -E '^(found|index|probes|selected):' > one_pass.txt
+  timeout 60 adasearch search loop.txt "$target" | grep -E '^(found|index|probes|selected):' > line_loop.txt
+  cat line_loop.txt
+  diff line_loop.txt one_pass.txt
+done
 
 echo "== the scalar kernels on 2^20 zipf keys, which are heavy with duplicates"
 adasearch gen --kind zipf --n 1048576 --seed 1 --out zipf.txt

@@ -56,6 +56,7 @@ BLANK_LINES = """\
             or (np.frombuffer(raw, np.uint16, (len(raw) - 1) // 2, 1) == 0x0A0A).any()):
         return None
 """
+READ_INT = "            return _key(0, v)\n"  # generate's integer parameters, n and count
 
 CATALOGUE = (
     Mutant("cache key of the target alone", ENGINE,
@@ -160,11 +161,11 @@ CATALOGUE = (
            "(draws < 2.0**63)",
            "(draws <= 2.0**63)", ("tests/test_bench.py",)),
     Mutant("a key range of one value is refused", DISTRIBUTIONS,
-           "INT64_MIN <= lo <= hi <= INT64_MAX:",
-           "INT64_MIN <= lo < hi <= INT64_MAX:", ("tests/test_bench.py",)),
-    Mutant("a key range at an int64 end is refused", DISTRIBUTIONS,
-           "INT64_MIN <= lo <= hi <= INT64_MAX:",
-           "INT64_MIN < lo <= hi < INT64_MAX:", ("tests/test_bench.py",)),
+           "if not lo <= hi:",
+           "if not lo < hi:", ("tests/test_bench.py",)),
+    Mutant("a key range at an int64 end is refused", DISTRIBUTIONS, READ_INT,
+           "            if _key(0, v) in (-(2**63), 2**63 - 1):\n"
+           "                raise OverflowError\n" + READ_INT, ("tests/test_bench.py",)),
     Mutant("zipf refuses a universe of one", DISTRIBUTIONS,
            "not 1 <= universe <=",
            "not 1 < universe <=", ("tests/test_bench.py",)),
@@ -199,7 +200,7 @@ CATALOGUE = (
     Mutant("the one-pass length sum is one short", DATASET,
            "2 * n + neg + wide != len(raw)",
            "2 * n + neg + wide - 1 != len(raw)", ("tests/test_dataset.py::test_canonical_text_takes_the_one_pass",)),
-    # one key rule: every value that is not an int is judged by _key, in index order
+    # one key rule: every value not in a 1-D int64 array numpy makes is judged by _key, in index order
     Mutant("the range error skips a value of INT64_MIN", DATASET,
            "not INT64_MIN <= k <= INT64_MAX",
            "not INT64_MIN < k <= INT64_MAX", ("tests/test_dataset.py",)),
@@ -232,9 +233,18 @@ CATALOGUE = (
            "range(0, len(targets), 100)",
            "range(1, len(targets), 100)",
            ("tests/test_bench.py::TestBatchTrial::test_spot_check_reads_every_100th_target",)),
-    Mutant("a generator truncates a float parameter", DISTRIBUTIONS,
-           "isinstance(v, str) or v % 1:",
-           "isinstance(v, str):", ("tests/test_bench.py::TestGenerate::test_invalid_params",)),
+    Mutant("a generator truncates a float parameter", DISTRIBUTIONS, READ_INT,
+           "            return _key(0, int(v) if isinstance(v, float) else v)\n",
+           ("tests/test_bench.py::TestGenerate::test_invalid_params",)),
+    # from_values keeps numpy's conversion only when it is a 1-D int64 array
+    Mutant("the fast path keeps a float64 array", DATASET,
+           "arr.dtype != np.int64 or arr.ndim != 1:",
+           "arr.dtype not in (np.int64, np.float64) or arr.ndim != 1:",
+           ("tests/test_dataset.py::test_from_values_is_the_key_rule_over_mixed_values",)),
+    Mutant("a 2-D list takes the fast path", DATASET,
+           "arr.dtype != np.int64 or arr.ndim != 1:",
+           "arr.dtype != np.int64:",
+           ("tests/test_dataset.py::test_from_values_is_the_key_rule_over_mixed_values",)),
 )
 
 
